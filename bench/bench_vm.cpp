@@ -1,17 +1,15 @@
-// VM-tier benchmark (ROADMAP "Hardened + faster VM tier" tracking file):
-// suite-execution wall time of the bytecode interpreter under the three
-// trust configurations the static verifier (vm/verifier.h) defines:
+// VM-tier benchmark (ROADMAP "Faster dispatch" tracking file):
+// suite-execution wall time of the bytecode interpreter. Every Interp
+// runs a VerifiedModule (vm/verifier.h), so the only remaining knob is
+// the data-dependent index check:
 //
-//   checked       - unverified module, boundsCheck on: per-access index
-//                   checks plus the descriptor sanity checks (rank/dim
-//                   arity) the interpreter must assume nothing about
-//   verified-fast - VerifiedModule token, boundsCheck off: every check
-//                   statically discharged, the trusted-run fast path
-//   unverified    - raw module, boundsCheck off: the pre-verifier fast
-//                   path, shown so verified-fast's "no slower than
-//                   blind trust" claim is measured, not asserted
+//   checked   - boundsCheck on: per-access idx-vs-size comparisons, the
+//               configuration driver::Executor and e2ebench run
+//   unchecked - boundsCheck off: the trusted-data fast path
 //
-// Plus a one-time cost row: verifying the whole suite's bytecode.
+// Plus a one-time cost row: verifying the whole suite's bytecode, and the
+// unchecked suite total next to the baseline this file recorded for the
+// previous interpreter, which made one function call per instruction.
 //
 // --json=FILE emits BENCH_vm.json with per-benchmark and suite-total
 // rows so the trajectory is tracked across PRs.
@@ -35,9 +33,16 @@ namespace {
 constexpr int kScale = 8;
 constexpr unsigned kThreads = 2;
 constexpr int kReps = 7;
+constexpr int kConfigs = 2;
+/// Unchecked suite total of the one-call-per-instruction interpreter, as
+/// this file recorded it before the single dispatch loop (same scale and
+/// threads); the dispatch-loop target is >= 1.5x against it. It is a
+/// recorded figure, so host drift moves the ratio: for a same-host
+/// comparison, run the older commit's bench_vm next to this one.
+constexpr double kBaselineUncheckedS = 0.144;
 
 /// The Executor::run argument conversion, against an explicit Interp so
-/// each trust configuration drives the same bytecode.
+/// each configuration drives the same bytecode.
 std::vector<vm::Slot> toSlots(vm::Interp &interp,
                               const std::vector<driver::Executor::Arg> &args) {
   std::vector<vm::Slot> slots;
@@ -62,8 +67,7 @@ std::vector<vm::Slot> toSlots(vm::Interp &interp,
 struct BenchRow {
   std::string id;
   double checked = 0;
-  double verifiedFast = 0;
-  double unverified = 0;
+  double unchecked = 0;
 };
 
 struct VerifyCost {
@@ -72,15 +76,15 @@ struct VerifyCost {
   uint64_t errors = 0;
 };
 
-/// Times all three trust configurations with their reps interleaved
-/// (rotating order each rep) so slow machine drift lands on every
-/// configuration equally instead of biasing whichever was timed last.
-void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[3],
-                 double out[3]) {
-  std::vector<double> times[3];
+/// Times both configurations with their reps interleaved (rotating order
+/// each rep) so slow machine drift lands on each configuration equally
+/// instead of biasing whichever was timed last.
+void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[kConfigs],
+                 double out[kConfigs]) {
+  std::vector<double> times[kConfigs];
   for (int r = 0; r < kReps; ++r) {
-    for (int k = 0; k < 3; ++k) {
-      int c = (r + k) % 3;
+    for (int k = 0; k < kConfigs; ++k) {
+      int c = (r + k) % kConfigs;
       rodinia::Workload w = b.makeWorkload(kScale);
       vm::Interp &in = *interps[c];
       std::vector<vm::Slot> slots = toSlots(in, w.args());
@@ -89,7 +93,7 @@ void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[3],
       times[c].push_back(now() - t0);
     }
   }
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < kConfigs; ++c) {
     std::sort(times[c].begin(), times[c].end());
     out[c] = times[c][times[c].size() / 2];
   }
@@ -142,18 +146,17 @@ int main(int argc, char **argv) {
   std::printf("\n=== Suite execution wall (seconds, scale=%d, threads=%u, "
               "median of %d) ===\n\n",
               kScale, kThreads, kReps);
-  std::printf("%-28s%14s%16s%14s\n", "benchmark", "checked",
-              "verified-fast", "unverified");
+  std::printf("%-28s%14s%14s\n", "benchmark", "checked", "unchecked");
 
   std::vector<BenchRow> rows;
-  double totChecked = 0, totVerified = 0, totUnverified = 0;
+  double totChecked = 0, totUnchecked = 0;
   size_t idx = 0;
   for (const auto &b : rodinia::suite()) {
     size_t i = idx++;
     if (!bytecodes[i])
       continue;
-    const vm::BCModule &bc = *bytecodes[i];
-    std::optional<vm::VerifiedModule> token = vm::VerifiedModule::create(bc);
+    std::optional<vm::VerifiedModule> token =
+        vm::VerifiedModule::create(*bytecodes[i]);
     if (!token) {
       std::fprintf(stderr, "verify failed for %s; skipping\n", b.id.c_str());
       continue;
@@ -163,34 +166,32 @@ int main(int argc, char **argv) {
 
     vm::ExecOptions checkedOpts;
     checkedOpts.boundsCheck = true;
-    vm::Interp checked(bc, pool, checkedOpts);
-    vm::ExecOptions fastOpts;
-    fastOpts.boundsCheck = false;
-    vm::Interp verifiedFast(*token, pool, fastOpts);
-    vm::Interp unverified(bc, pool, fastOpts);
+    vm::Interp checked(*token, pool, checkedOpts);
+    vm::ExecOptions uncheckedOpts;
+    uncheckedOpts.boundsCheck = false;
+    vm::Interp unchecked(*token, pool, uncheckedOpts);
 
     BenchRow row;
     row.id = b.id;
-    vm::Interp *interps[3] = {&checked, &verifiedFast, &unverified};
-    double t[3];
+    vm::Interp *interps[kConfigs] = {&checked, &unchecked};
+    double t[kConfigs];
     timeConfigs(b, interps, t);
     row.checked = t[0];
-    row.verifiedFast = t[1];
-    row.unverified = t[2];
+    row.unchecked = t[1];
     totChecked += row.checked;
-    totVerified += row.verifiedFast;
-    totUnverified += row.unverified;
-    std::printf("%-28s%14.6f%16.6f%14.6f\n", b.id.c_str(), row.checked,
-                row.verifiedFast, row.unverified);
+    totUnchecked += row.unchecked;
+    std::printf("%-28s%14.6f%14.6f\n", b.id.c_str(), row.checked,
+                row.unchecked);
     rows.push_back(std::move(row));
   }
-  std::printf("%-28s%14.6f%16.6f%14.6f\n", "TOTAL", totChecked, totVerified,
-              totUnverified);
-  std::printf("\n  checked / verified-fast : %.3fx\n",
-              totVerified > 0 ? totChecked / totVerified : 0.0);
-  std::printf("  unverified / verified-fast : %.3fx (1.0 = proof costs "
-              "nothing at run time)\n",
-              totVerified > 0 ? totUnverified / totVerified : 0.0);
+  std::printf("%-28s%14.6f%14.6f\n", "TOTAL", totChecked, totUnchecked);
+  double checkedOverUnchecked =
+      totUnchecked > 0 ? totChecked / totUnchecked : 0.0;
+  double speedup = totUnchecked > 0 ? kBaselineUncheckedS / totUnchecked : 0.0;
+  std::printf("\n  checked / unchecked : %.3fx\n", checkedOverUnchecked);
+  std::printf("  unchecked total %.3f s vs %.3f s for the one-call-per-"
+              "instruction baseline: %.2fx (target >= 1.5x)\n",
+              totUnchecked, kBaselineUncheckedS, speedup);
 
   if (!jsonPath.empty()) {
     std::FILE *f = std::fopen(jsonPath.c_str(), "w");
@@ -214,18 +215,17 @@ int main(int argc, char **argv) {
     for (size_t i = 0; i < rows.size(); ++i)
       std::fprintf(f,
                    "    {\"benchmark\": \"%s\", \"checked_s\": %.6f, "
-                   "\"verified_fast_s\": %.6f, \"unverified_s\": %.6f}%s\n",
-                   rows[i].id.c_str(), rows[i].checked, rows[i].verifiedFast,
-                   rows[i].unverified, i + 1 < rows.size() ? "," : "");
+                   "\"unchecked_s\": %.6f}%s\n",
+                   rows[i].id.c_str(), rows[i].checked, rows[i].unchecked,
+                   i + 1 < rows.size() ? "," : "");
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"suite_total\": {\"checked_s\": %.6f, "
-                 "\"verified_fast_s\": %.6f, \"unverified_s\": %.6f, "
-                 "\"checked_over_verified_fast\": %.3f, "
-                 "\"unverified_over_verified_fast\": %.3f}\n",
-                 totChecked, totVerified, totUnverified,
-                 totVerified > 0 ? totChecked / totVerified : 0.0,
-                 totVerified > 0 ? totUnverified / totVerified : 0.0);
+                 "\"unchecked_s\": %.6f, \"checked_over_unchecked\": %.3f, "
+                 "\"baseline_unchecked_s\": %.3f, "
+                 "\"speedup_over_baseline\": %.3f}\n",
+                 totChecked, totUnchecked, checkedOverUnchecked,
+                 kBaselineUncheckedS, speedup);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", jsonPath.c_str());

@@ -4,7 +4,8 @@
 // contributes (kind, location) pairs where the location is an SSA memref
 // base or "unknown". Kernel pointer arguments are treated as pairwise
 // noalias (restrict semantics), matching how Polygeist compiles the
-// Rodinia/PyTorch kernels; this assumption is documented in DESIGN.md.
+// Rodinia/PyTorch kernels. A launch that passes overlapping buffers to
+// one kernel is therefore outside what the transforms preserve.
 #pragma once
 
 #include "ir/op.h"

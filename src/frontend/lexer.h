@@ -1,7 +1,7 @@
-// Lexer for the CUDA C subset accepted by ParaLift (see frontend/README
-// note in DESIGN.md). Handles CUDA qualifiers, the <<< >>> launch tokens,
-// simple object-like #define substitution, and `#pragma omp parallel for`
-// markers used by the reference OpenMP codes.
+// Lexer for the CUDA C subset accepted by ParaLift. Handles CUDA
+// qualifiers, the <<< >>> launch tokens, simple object-like #define
+// substitution, and `#pragma omp parallel for` markers used by the
+// reference OpenMP codes.
 #pragma once
 
 #include "support/diagnostics.h"

@@ -1,6 +1,6 @@
 // Core IR data structures: a small MLIR-like SSA IR with nested regions.
 //
-// Design notes (see DESIGN.md §4):
+// Design notes:
 //  - One concrete Op class parameterized by OpKind; structured-control-flow
 //    ops (scf.for/if/while/parallel) carry regions, each region holds a
 //    single block (control flow is fully structured; there are no branch

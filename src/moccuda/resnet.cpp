@@ -267,7 +267,8 @@ float MiniResNet::trainStep(const Tensor &images,
   }
 
   // Backward (shared across backends: the paper's comparison targets the
-  // forward-kernel organization; see DESIGN.md).
+  // forward-kernel organization, so sharing the backward keeps the
+  // backends' difference confined to the forward kernels).
   Tensor dPooled;
   std::vector<float> dFc;
   fcBackward(pool_, pooled_, fc_, classes_, dLogits, dPooled, dFc);

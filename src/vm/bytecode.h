@@ -8,7 +8,8 @@
 //
 // Both the transpiled-CUDA and the reference-OpenMP sides of every
 // benchmark run on this same VM, so relative performance comparisons
-// isolate the compiler's effects (see DESIGN.md).
+// isolate the compiler's effects: neither side gets a better code
+// generator or memory hierarchy than the other.
 #pragma once
 
 #include "ir/type.h"

@@ -11,33 +11,24 @@
 // == Bytecode verification ==
 //
 // `Slot` is an untyped i/f/p union and the interpreter indexes frames and
-// extras tables without checking, so malformed bytecode is memory
-// corruption, not an exception. The static verifier (vm/verifier.h)
-// closes that hole before execution starts: `VerifiedModule::create`
-// proves every register/extras/shape/closure/callee index in range, every
-// Call/Ret arity consistent, every register read typed (no int read as a
-// memref pointer, no uninitialized read) — interprocedurally, with
-// argument typestates propagated from every Call/launch site and Ret
-// typestates back into Call results, so type confusion cannot be
-// smuggled across a frame boundary either — every Load/Store/SubView/Dim
-// rank-consistent with the memref it touches, scopes balanced, and
-// barriers placed where their execution regime always exists.
+// extras tables without checking, so malformed bytecode would be memory
+// corruption, not an exception. An Interp can therefore only be built from
+// a `VerifiedModule` (vm/verifier.h), whose creation proves every
+// register/extras/shape/closure/callee index in range, every Call/Ret
+// arity consistent, every register read typed (no int read as a memref
+// pointer, no uninitialized read) — interprocedurally, with argument
+// typestates propagated from every Call/launch site and Ret typestates
+// back into Call results, so type confusion cannot be smuggled across a
+// frame boundary either — every Load/Store/SubView/Dim rank-consistent
+// with the memref it touches, scopes balanced, and barriers placed where
+// their execution regime always exists. The interpreter re-checks none
+// of these descriptor facts at run time.
 //
-// What that proof buys at runtime:
-//  - Constructing an Interp from a VerifiedModule elides the per-access
-//    *descriptor* checks (Load/Store rank-vs-index-count, Dim/SubView
-//    rank range) — they are statically discharged.
-//  - `ExecOptions::boundsCheck` is demoted to "unverified or
-//    untrusted-data input only": it guards the *data-dependent* index
-//    comparisons (idx vs sizes[i]) which no static analysis can remove.
-//    Trusted runs (our own compiler's verified output on workloads whose
-//    indexing was validated) turn it off for the fast path measured in
-//    BENCH_vm.json.
-//  - Untrusted cached bytecode (the daemon scenario) wants
-//    VerifiedModule + boundsCheck=true: verification stops forged
-//    descriptors/registers, bounds checks stop hostile index math —
-//    and the process answers a bad request with an error (tryCall)
-//    instead of dying.
+// What no static analysis can remove is the *data-dependent* index
+// comparison (idx vs sizes[i]) on Load/Store/SubView: that is
+// `ExecOptions::boundsCheck`. With it on, hostile index math traps and
+// the process answers the request with an error (tryCall) instead of
+// corrupting memory; turning it off is only for trusted data.
 #pragma once
 
 #include "runtime/thread_pool.h"
@@ -119,9 +110,7 @@ private:
 
 struct ExecOptions {
   /// Data-dependent index checking (idx vs sizes) on Load/Store/SubView.
-  /// See "Bytecode verification" above: with a VerifiedModule this is
-  /// only needed for untrusted input; without one it also enables the
-  /// descriptor sanity checks.
+  /// See "Bytecode verification" above.
   bool boundsCheck = true;
   /// Per-execution-arena byte cap (each serial run and each team/SIMT
   /// thread context has its own arena). A breach traps — surfaced as a
@@ -132,7 +121,7 @@ struct ExecOptions {
 
 /// Outcome of Interp::tryCall: results on success, a non-empty error
 /// otherwise — unknown function, arity mismatch, or a runtime trap
-/// (bounds/rank violation under boundsCheck, arena-cap breach, an
+/// (index out of bounds under boundsCheck, arena-cap breach, an
 /// injected "vm.exec" fault). Traps are counted in the "vm.exec.errors"
 /// metric. Lets a long-lived server answer a bad request instead of
 /// aborting the process.
@@ -144,21 +133,12 @@ struct CallResult {
 
 class Interp {
 public:
-  /// Trusted-module constructor (bytecode straight out of vm::compile in
-  /// this process). Runs with descriptor sanity checks when boundsCheck
-  /// is on.
-  Interp(const BCModule &mod, runtime::ThreadPool &pool,
-         ExecOptions opts = {})
-      : mod_(mod), pool_(pool), opts_(opts) {}
-
-  /// Verified-module constructor: the token proves every structural and
-  /// typestate invariant, so descriptor checks are elided and
-  /// boundsCheck=false is safe for trusted data. The module behind the
-  /// token must outlive this Interp.
+  /// The token proves every structural and typestate invariant (see
+  /// "Bytecode verification" above). The module behind the token must
+  /// outlive this Interp.
   Interp(const VerifiedModule &verified, runtime::ThreadPool &pool,
          ExecOptions opts = {})
-      : mod_(verified.module()), pool_(pool), opts_(opts),
-        checkDescriptors_(false) {}
+      : mod_(verified.module()), pool_(pool), opts_(opts) {}
 
   /// Calls a named function; args are pre-populated registers (scalars or
   /// MemRef* created via makeMemRef). Returns the function results.
@@ -187,20 +167,22 @@ private:
     Arena *arena = nullptr;
   };
 
-  enum class StepResult { Continue, Returned, Barrier };
+  /// Why run() returned: the function finished (Ret or end of code), or
+  /// it suspended at a SimtBarrier.
+  enum class Stop { Done, Barrier };
 
-  /// Executes the instruction at `pc`, advancing it. The workhorse shared
-  /// by the serial interpreter and the lockstep engine.
-  StepResult step(const BCFunction &fn, Slot *regs, Ctx &ctx,
-                  std::vector<Arena::Mark> &scopes, size_t &pc,
-                  std::vector<Slot> *results);
+  /// The dispatch loop shared by the serial interpreter and the lockstep
+  /// engine: executes `fn` from `pc` until a Ret, a SimtBarrier (`pc` is
+  /// left just past it, so a second call resumes there) or the end of
+  /// the code.
+  Stop run(const BCFunction &fn, Slot *regs, Ctx &ctx,
+           std::vector<Arena::Mark> &scopes, size_t &pc,
+           std::vector<Slot> *results);
 
   void exec(const BCFunction &fn, Slot *regs, Ctx &ctx,
             std::vector<Slot> *results);
-  void execParallelOmp(const BCFunction &fn, const Closure &c, Slot *regs,
-                       Ctx &ctx);
-  void execParallelScf(const BCFunction &fn, const Closure &c, Slot *regs,
-                       Ctx &ctx);
+  void execParallelOmp(const Closure &c, Slot *regs);
+  void execParallelScf(const Closure &c, Slot *regs, Ctx &ctx);
   void execLockstep(const BCFunction &body, const std::vector<Slot> &base,
                     const std::vector<int64_t> &lbs,
                     const std::vector<int64_t> &ubs,
@@ -212,9 +194,6 @@ private:
   const BCModule &mod_;
   runtime::ThreadPool &pool_;
   ExecOptions opts_;
-  /// False when constructed from a VerifiedModule: rank/descriptor
-  /// checks are statically discharged (see header comment).
-  bool checkDescriptors_ = true;
   Arena external_; ///< descriptors for user-supplied buffers
 };
 

@@ -31,8 +31,8 @@
 //    toward a memref read is rejected no matter which interprocedural
 //    or CFG path carries it.
 //
-// A module that verifies clean yields a VerifiedModule token; the
-// interpreter accepts the token as proof and elides its dynamic
+// A module that verifies clean yields a VerifiedModule token; an
+// interpreter can only be built from one, and it performs no dynamic
 // per-access register/descriptor checks (see "Bytecode verification" in
 // interp.h).
 #pragma once

@@ -423,10 +423,12 @@ void run(float* out) { k<<<1, 4>>>(out); }
   auto cc = driver::compile(src, PipelineOptions{}, diag);
   ASSERT_TRUE(cc.ok) << diag.str();
   vm::BCModule bc = vm::compileModule(cc.module.get());
+  std::optional<vm::VerifiedModule> token = vm::VerifiedModule::create(bc);
+  ASSERT_TRUE(token);
   runtime::ThreadPool pool(2);
   vm::ExecOptions opts;
   opts.maxArenaBytes = 16; // 64 floats never fit
-  vm::Interp interp(bc, pool, opts);
+  vm::Interp interp(*token, pool, opts);
   std::vector<float> out(4);
   std::vector<vm::Slot> args{
       interp.makeMemRef(ir::TypeKind::F32, out.data(), {4})};
@@ -435,7 +437,7 @@ void run(float* out) { k<<<1, 4>>>(out); }
   EXPECT_NE(r.error.find("VM arena limit exceeded"), std::string::npos)
       << r.error;
   // Uncapped, the same bytecode executes fine.
-  vm::Interp unlimited(bc, pool, vm::ExecOptions{});
+  vm::Interp unlimited(*token, pool, vm::ExecOptions{});
   vm::CallResult ok = unlimited.tryCall("run", args);
   EXPECT_TRUE(ok.ok()) << ok.error;
   EXPECT_EQ(out[0], 2016.0f); // sum 0..63

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <map>
 
 using namespace paralift;
 using namespace paralift::rodinia;
@@ -58,6 +60,45 @@ void expectClose(const RunResult &a, const RunResult &b,
     ASSERT_EQ(a.i[k], b.i[k]) << what << " int buffer index " << k;
 }
 
+/// FNV-1a (64-bit) over the raw bytes of the float state, then the int
+/// state: any changed output bit changes the hash.
+uint64_t fnv1a(const RunResult &r) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void *data, size_t bytes) {
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t k = 0; k < bytes; ++k) {
+      h ^= p[k];
+      h *= 1099511628211ull;
+    }
+  };
+  mix(r.f.data(), r.f.size() * sizeof(float));
+  mix(r.i.data(), r.i.size() * sizeof(int32_t));
+  return h;
+}
+
+/// fnv1a of each module's full-pipeline output at scale 1 on 2 threads,
+/// recorded before the interpreter's dispatch loop was rewritten. An
+/// interpreter change that is meant to be a pure refactor must reproduce
+/// these exactly.
+const std::map<std::string, uint64_t> kFullPipelineHashes = {
+    {"btree_findk", 0xad4463b6e09ed3aeull},
+    {"btree_findrangek", 0x90252dd6510c44b5ull},
+    {"bfs", 0x4d5f8d4578fb1efaull},
+    {"backprop_layerforward", 0x400f08263c6b212aull},
+    {"backprop_adjust_weights", 0x203136f51782bd39ull},
+    {"cfd", 0xe6e15698a3416181ull},
+    {"myocyte", 0x66e967600c86700full},
+    {"particlefilter_float", 0xf4823ce9d93966c0ull},
+    {"streamcluster", 0xcb53b8d705e0913eull},
+    {"hotspot", 0x8af3a1bca6c41a91ull},
+    {"hotspot3d", 0x4d5cc62f797fd33cull},
+    {"pathfinder", 0x53f8bd7de7857695ull},
+    {"lud", 0x85da8b16f748fa87ull},
+    {"nw", 0xe6b988ea170506b3ull},
+    {"srad_v1", 0xf029ed0a74462193ull},
+    {"srad_v2", 0x0691106fa4fb4d0cull},
+};
+
 class RodiniaTest : public ::testing::TestWithParam<const Benchmark *> {};
 
 } // namespace
@@ -68,6 +109,19 @@ TEST_P(RodiniaTest, FullPipelineMatchesSimt) {
   PipelineOptions opts;
   RunResult opt = runCuda(b, &opts, 2);
   expectClose(simt, opt, b.id + " full");
+}
+
+TEST_P(RodiniaTest, FullPipelineOutputIsBitExact) {
+  const Benchmark &b = *GetParam();
+  PipelineOptions opts;
+  uint64_t h = fnv1a(runCuda(b, &opts, 2));
+  char got[32];
+  std::snprintf(got, sizeof(got), "0x%016llx",
+                static_cast<unsigned long long>(h));
+  auto it = kFullPipelineHashes.find(b.id);
+  ASSERT_NE(it, kFullPipelineHashes.end())
+      << "no recorded hash for " << b.id << "; got " << got;
+  EXPECT_EQ(h, it->second) << b.id << " output hash is " << got;
 }
 
 TEST_P(RodiniaTest, OptDisabledMatchesSimt) {

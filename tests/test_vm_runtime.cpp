@@ -2,10 +2,12 @@
 // nested-parallel policies, dispatch queues, VM arithmetic semantics
 // (f32 rounding, i32 wrapping, division guards), memref bounds checking,
 // arena scoping and recycling of allocas, structured call errors
-// (tryCall/tryRun), and the lockstep SIMT emulator's barrier semantics
-// under divergent-looking but block-uniform control flow.
+// (tryCall/tryRun), the dispatched-instruction counter, and the lockstep
+// SIMT emulator's barrier semantics under divergent-looking but
+// block-uniform control flow.
 #include "driver/compiler.h"
 #include "runtime/thread_pool.h"
+#include "support/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -250,6 +252,37 @@ TEST(VmSemanticsTest, BoundsCheckCatchesOutOfRange) {
       exec.run("f", {driver::Executor::bufferF32(buf.data(), {4}),
                      int64_t(7)}),
       "out of bounds");
+}
+
+TEST(VmSemanticsTest, InstructionCounterIsDeterministic) {
+  // vm.exec.instructions counts every dispatched instruction, including
+  // those of team threads; the same call on the same inputs must add the
+  // same nonzero count every time.
+  const char *src = R"(
+__global__ void k(float* a, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  float s = 0.0f;
+  for (int j = 0; j < 8; j++) s += a[i] * j;
+  __syncthreads();
+  if (i < n) a[i] = s;
+}
+void run(float* a, int n) { k<<<2, 4>>>(a, n); }
+)";
+  DiagnosticEngine diag;
+  auto cc = driver::compile(src, transforms::PipelineOptions{}, diag);
+  ASSERT_TRUE(cc.ok) << diag.str();
+  driver::Executor exec(cc.module.get(), 2);
+  auto &reg = metrics::MetricsRegistry::instance();
+  auto countRun = [&] {
+    std::vector<float> a(8, 1.0f);
+    uint64_t before = reg.counterValue("vm.exec.instructions");
+    exec.run("run", {driver::Executor::bufferF32(a.data(), {8}), int64_t(8)});
+    EXPECT_FLOAT_EQ(a[0], 28.0f);
+    return reg.counterValue("vm.exec.instructions") - before;
+  };
+  uint64_t first = countRun();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(countRun(), first);
 }
 
 //===----------------------------------------------------------------------===//
