@@ -2,7 +2,7 @@
 // the Rodinia suite (not a paper figure; quantifies the compiler itself).
 //
 // --json=FILE additionally emits a machine-readable BENCH_compile.json
-// (suite latency per scheduler and thread count, mean/median/p95
+// (suite-session latency per thread count, mean/median/p95
 // job-completion latency, keying time, arena parse/clone/teardown cost,
 // cache stats, tracing-disabled vs -enabled overhead, failpoint
 // disarmed vs armed-inert overhead, and a MetricsRegistry snapshot) so
@@ -89,14 +89,10 @@ double p95Of(const std::vector<double> &sorted) {
   return sorted[std::min(sorted.size(), std::max<size_t>(rank, 1)) - 1];
 }
 
-SchedulerMeasurement measureSuiteSession(unsigned threads,
-                                         driver::ScheduleMode schedule,
-                                         int reps = 7) {
+SchedulerMeasurement measureSuiteSession(unsigned threads, int reps = 7) {
   std::vector<SchedulerMeasurement> ms;
   for (int r = 0; r < reps; ++r) {
-    driver::SessionOptions so = suiteSessionOptions(threads);
-    so.schedule = schedule;
-    driver::CompilerSession session(std::move(so));
+    driver::CompilerSession session = makeSuiteSession(threads);
     std::vector<driver::CompileJob *> jobs;
     for (const auto &b : rodinia::suite())
       jobs.push_back(&session.addSource(b.id, b.cudaSource,
@@ -126,20 +122,23 @@ SchedulerMeasurement measureSuiteSession(unsigned threads,
 
 struct SchedulerRow {
   unsigned threads;
-  SchedulerMeasurement dag, lockstep;
+  SchedulerMeasurement dag;
+};
+
+struct SuiteSessionTable {
+  double serialSeconds = 0; ///< one-shot sessions, one module at a time
+  std::vector<SchedulerRow> rows;
 };
 
 /// Suite-session mode: the whole Rodinia suite queued on one
-/// CompilerSession. The table compares the dependency-DAG scheduler
-/// (parse/keying/pass steps overlap across modules; each CompileJob
-/// future resolves the moment its module's last pass lands) against the
-/// lockstep executor (global per-pass barriers, futures resolve at end
-/// of batch) — batch wall clock AND job-completion latency, the two
-/// numbers the DAG is built to shrink. A serial one-shot baseline
-/// anchors both.
-std::vector<SchedulerRow> printSuiteSessionMode() {
-  std::printf("\n=== Suite-session batch compile: DAG vs lockstep "
-              "scheduling (whole suite, seconds) ===\n");
+/// CompilerSession, scheduled as a dependency DAG (parse/keying/pass
+/// steps overlap across modules; each CompileJob future resolves the
+/// moment its module's last pass lands). The table reports batch wall
+/// clock AND job-completion latency per thread count, anchored by a
+/// serial one-shot baseline.
+SuiteSessionTable printSuiteSessionMode() {
+  std::printf("\n=== Suite-session batch compile, DAG scheduling (whole "
+              "suite, seconds) ===\n");
   std::printf("(hardware: %u cores; wall-clock wins need >1 — job-latency "
               "wins appear even on 1 — see EXPERIMENTS.md)\n\n",
               std::thread::hardware_concurrency());
@@ -147,7 +146,8 @@ std::vector<SchedulerRow> printSuiteSessionMode() {
   // driver::compile so every mode ignores $PARALIFT_CACHE_DIR — the
   // comparison must measure scheduling, not an env cache warming one
   // side.
-  double serial = medianTime(
+  SuiteSessionTable table;
+  table.serialSeconds = medianTime(
       [&] {
         for (const auto &b : rodinia::suite()) {
           driver::CompilerSession session = makeSuiteSession();
@@ -159,30 +159,19 @@ std::vector<SchedulerRow> printSuiteSessionMode() {
       },
       3);
   std::printf("  serial per-module (one-shot sessions)  %10.4f s\n\n",
-              serial);
-  std::printf("  %-12s%12s%12s%14s%14s%14s\n", "pm-threads", "wall",
-              "vs-lock", "mean-job", "median-job", "p95-job");
-  std::vector<SchedulerRow> rows;
+              table.serialSeconds);
+  std::printf("  %-12s%12s%14s%14s%14s\n", "pm-threads", "wall",
+              "mean-job", "median-job", "p95-job");
   for (unsigned threads : {1u, 2u, 4u}) {
     SchedulerRow row;
     row.threads = threads;
-    row.dag = measureSuiteSession(threads, driver::ScheduleMode::Dag);
-    row.lockstep =
-        measureSuiteSession(threads, driver::ScheduleMode::Lockstep);
-    std::printf("  dag=%-8u%10.4f s%11.2fx%12.4f s%12.4f s%12.4f s\n",
-                threads, row.dag.wallSeconds,
-                row.dag.wallSeconds > 0
-                    ? row.lockstep.wallSeconds / row.dag.wallSeconds
-                    : 0.0,
-                row.dag.meanJobSeconds, row.dag.medianJobSeconds,
-                row.dag.p95JobSeconds);
-    std::printf("  lock=%-7u%10.4f s%12s%12.4f s%12.4f s%12.4f s\n",
-                threads, row.lockstep.wallSeconds, "-",
-                row.lockstep.meanJobSeconds, row.lockstep.medianJobSeconds,
-                row.lockstep.p95JobSeconds);
-    rows.push_back(row);
+    row.dag = measureSuiteSession(threads);
+    std::printf("  %-10u%10.4f s%12.4f s%12.4f s%12.4f s\n", threads,
+                row.dag.wallSeconds, row.dag.meanJobSeconds,
+                row.dag.medianJobSeconds, row.dag.p95JobSeconds);
+    table.rows.push_back(row);
   }
-  return rows;
+  return table;
 }
 
 /// IR-memory cost across the suite: parse (textual IR -> arena-backed
@@ -278,9 +267,9 @@ TracingOverhead measureTracingOverhead() {
   t.enabledWall = std::numeric_limits<double>::infinity();
   std::vector<double> ratios;
   for (int i = 0; i < kReps; ++i) {
-    double off = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double off = measureSuiteSession(4).wallSeconds;
     trace::enable();
-    double on = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double on = measureSuiteSession(4).wallSeconds;
     trace::disable();
     t.disabledWall = std::min(t.disabledWall, off);
     t.enabledWall = std::min(t.enabledWall, on);
@@ -323,14 +312,14 @@ FailpointOverhead measureFailpointOverhead() {
   std::vector<double> ratios;
   for (int i = 0; i < kReps; ++i) {
     failpoint::clearAll();
-    double off = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double off = measureSuiteSession(4).wallSeconds;
     std::string err;
     if (!failpoint::configure("pass.run=error:0,0.0", &err)) {
       std::fprintf(stderr, "bench_compile: failpoint spec rejected: %s\n",
                    err.c_str());
       break;
     }
-    double on = measureSuiteSession(4, driver::ScheduleMode::Dag).wallSeconds;
+    double on = measureSuiteSession(4).wallSeconds;
     failpoint::clearAll();
     t.disarmedWall = std::min(t.disarmedWall, off);
     t.armedWall = std::min(t.armedWall, on);
@@ -362,8 +351,8 @@ transforms::PassResultCache::StatsSnapshot measureCacheStats() {
   return cache.stats();
 }
 
-void writeJson(const std::string &path,
-               const std::vector<SchedulerRow> &rows, const KeyingTimes &k,
+void writeJson(const std::string &path, const SuiteSessionTable &table,
+               const KeyingTimes &k,
                const IrMemoryTimes &im,
                const transforms::PassResultCache::StatsSnapshot &cs,
                const TracingOverhead &to, const FailpointOverhead &fo) {
@@ -378,29 +367,19 @@ void writeJson(const std::string &path,
   std::fprintf(f, "  \"modules\": %zu,\n", rodinia::suite().size());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"scheduler_default\": \"dag\",\n");
+  std::fprintf(f, "  \"serial_one_shot_s\": %.6f,\n", table.serialSeconds);
   std::fprintf(f, "  \"suite_session\": [\n");
+  const std::vector<SchedulerRow> &rows = table.rows;
   for (size_t i = 0; i < rows.size(); ++i) {
     const SchedulerRow &r = rows[i];
-    auto emit = [&](const char *name, const SchedulerMeasurement &m,
-                    const char *sep) {
-      std::fprintf(f,
-                   "      \"%s\": {\"wall_s\": %.6f, \"mean_job_s\": %.6f, "
-                   "\"median_job_s\": %.6f, \"p95_job_s\": %.6f}%s\n",
-                   name, m.wallSeconds, m.meanJobSeconds, m.medianJobSeconds,
-                   m.p95JobSeconds, sep);
-    };
-    std::fprintf(f, "    {\n      \"pm_threads\": %u,\n", r.threads);
-    emit("dag", r.dag, ",");
-    emit("lockstep", r.lockstep, ",");
-    std::fprintf(
-        f, "      \"speedup_wall\": %.3f,\n      \"speedup_mean_job\": %.3f\n",
-        r.dag.wallSeconds > 0 ? r.lockstep.wallSeconds / r.dag.wallSeconds
-                              : 0.0,
-        r.dag.meanJobSeconds > 0
-            ? r.lockstep.meanJobSeconds / r.dag.meanJobSeconds
-            : 0.0);
-    std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
+    const SchedulerMeasurement &m = r.dag;
+    std::fprintf(f,
+                 "    {\"pm_threads\": %u, \"dag\": {\"wall_s\": %.6f, "
+                 "\"mean_job_s\": %.6f, \"median_job_s\": %.6f, "
+                 "\"p95_job_s\": %.6f}}%s\n",
+                 r.threads, m.wallSeconds, m.meanJobSeconds,
+                 m.medianJobSeconds, m.p95JobSeconds,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
@@ -483,7 +462,7 @@ int main(int argc, char **argv) {
   benchmark::RunSpecifiedBenchmarks();
   printTable();
   printPassBreakdown();
-  std::vector<SchedulerRow> rows = printSuiteSessionMode();
+  SuiteSessionTable sessionTable = printSuiteSessionMode();
   SuiteModules suite = parseSuiteModules();
   KeyingTimes keying = measureKeyingTime(suite);
   printKeyingTime(keying);
@@ -494,7 +473,7 @@ int main(int argc, char **argv) {
   FailpointOverhead failpoints = measureFailpointOverhead();
   printFailpointOverhead(failpoints);
   if (!jsonPath.empty())
-    writeJson(jsonPath, rows, keying, irMem, measureCacheStats(), tracing,
-              failpoints);
+    writeJson(jsonPath, sessionTable, keying, irMem, measureCacheStats(),
+              tracing, failpoints);
   return 0;
 }

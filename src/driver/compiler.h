@@ -48,8 +48,8 @@ CompileResult compile(const std::string &source,
                       DiagnosticEngine &diag);
 
 /// As above with pass-manager instrumentation/scheduling knobs: per-pass
-/// wall-clock timing + peak RSS (config.timing), verify-after-each-pass,
-/// preserved-analyses cross-checking (config.verifyAnalyses), parallel
+/// wall-clock timing + IR-arena growth (config.timing),
+/// verify-after-each-pass, preserved-analyses cross-checking (config.verifyAnalyses), parallel
 /// per-kernel scheduling of function passes (config.threads), and a
 /// pass-result cache (config.cache).
 ///

@@ -311,75 +311,17 @@ bool CompilerSession::finalVerify(const transforms::PassManager &pm,
 
 void CompilerSession::compileGroupPerModule(
     transforms::PassManager &pm, const std::vector<CompileJob *> &group) {
-  // Instrumentation nesting mirrors the legacy runPipeline: custom hooks
-  // outermost, then analysis verify, verify-each, timing last (innermost)
-  // so verification cost stays out of the measurement window.
-  if (opts_.configurePassManager)
-    opts_.configurePassManager(pm);
-  if (opts_.verifyAnalyses)
-    pm.enableAnalysisVerify();
-  if (opts_.verifyEach)
-    pm.enableVerifyEach();
-  if (opts_.collectTiming)
-    pm.enableTiming(&timing_);
   for (CompileJob *job : group) {
     if (!job->frontendOk_) {
       markDone(*job, false);
       continue;
     }
-    // This path runs whole pipelines per job, so cancellation/deadline
-    // is polled once per job, before its pipeline starts (see the
-    // "Failure semantics" header section).
-    std::string reason = job->cancel_.expiredReason();
-    if (!reason.empty()) {
-      job->diag_.error(SourceLoc(), reason + " before pipeline start");
-      markDone(*job, false);
-      continue;
-    }
-    bool ok = pm.run(job->result_.module.get(), job->diag_);
-    if (ok && opts_.maxArenaBytesPerModule) {
-      uint64_t bytes =
-          job->result_.module.op()->arena().bytesAllocated();
-      if (bytes > opts_.maxArenaBytesPerModule) {
-        job->diag_.error(SourceLoc(),
-                         "IR arena limit exceeded (" +
-                             std::to_string(bytes) + " > " +
-                             std::to_string(opts_.maxArenaBytesPerModule) +
-                             " bytes) after pipeline");
-        ok = false;
-      }
-    }
+    transforms::PassManager::BatchOptions bo;
+    bo.cancels.push_back(&job->cancel_);
+    bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
+    bool ok = pm.run(job->result_.module.get(), job->diag_, std::move(bo));
     ok = finalVerify(pm, job->result_.module.get(), job->diag_, ok);
     markDone(*job, ok);
-  }
-}
-
-void CompilerSession::compileGroupBatch(
-    transforms::PassManager &pm, const std::vector<CompileJob *> &group) {
-  std::vector<ir::ModuleOp> modules;
-  std::vector<DiagnosticEngine *> diags;
-  std::vector<CompileJob *> live;
-  for (CompileJob *job : group) {
-    if (!job->frontendOk_) {
-      markDone(*job, false);
-      continue;
-    }
-    modules.push_back(job->result_.module.get());
-    diags.push_back(&job->diag_);
-    live.push_back(job);
-  }
-  if (live.empty())
-    return;
-  transforms::PassManager::BatchOptions bo;
-  bo.verifyEach = opts_.verifyEach;
-  bo.timing = opts_.collectTiming ? &timing_ : nullptr;
-  bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
-  for (CompileJob *job : live)
-    bo.cancels.push_back(&job->cancel_);
-  std::vector<char> oks = pm.runOnModules(modules, diags, bo);
-  for (size_t i = 0; i < live.size(); ++i) {
-    bool ok = finalVerify(pm, modules[i], *diags[i], oks[i] != 0);
-    markDone(*live[i], ok);
   }
 }
 
@@ -405,7 +347,7 @@ bool CompilerSession::compileAll() {
       compileSimt(batch);
     } else {
       // Group jobs by pipeline; each group compiles against one
-      // PassManager so the batch scheduler sees the union of kernels.
+      // PassManager, whose DAG batch covers every job of the group.
       // The key is the built pipeline's canonical spec — not the
       // PipelineOptions fields — so a future option can never silently
       // misgroup jobs onto another job's pipeline; the PassManager built
@@ -443,8 +385,10 @@ bool CompilerSession::compileAll() {
           it->jobs.push_back(job);
         }
       }
-      // Both schedulers run each group against an identically configured
-      // PassManager (shared pool, shared cache).
+      // Every group runs against an identically configured PassManager
+      // (shared pool, shared cache). Instrumentation nesting mirrors the
+      // legacy runPipeline: custom hooks outermost, then analysis
+      // verify, then verify-each.
       for (Group &group : groups) {
         transforms::PassManager &pm = *group.pm;
         pm.setThreadCount(opts_.threads);
@@ -452,13 +396,23 @@ bool CompilerSession::compileAll() {
         pm.setResultCache(cache_);
         if (opts_.collectStatistics)
           pm.enableStatistics();
+        if (opts_.configurePassManager)
+          opts_.configurePassManager(pm);
+        if (opts_.verifyAnalyses)
+          pm.enableAnalysisVerify();
+        if (opts_.verifyEach)
+          pm.enableVerifyEach();
+        if (opts_.collectTiming)
+          pm.enableTiming(&timing_);
       }
-      // Per-module instrumentation (verifyAnalyses, configurePassManager)
-      // observes one module at a time and forces the per-module path for
-      // the whole batch; otherwise the configured schedule decides.
-      const bool perModuleForced =
-          opts_.verifyAnalyses || opts_.configurePassManager != nullptr;
-      if (opts_.schedule == ScheduleMode::Dag && !perModuleForced) {
+      if (opts_.verifyAnalyses || opts_.configurePassManager) {
+        // Per-module instrumentation observes one module at a time (see
+        // "Batch scheduling" in the header): the whole batch compiles
+        // serially, still sharing the session's pool and cache.
+        runFrontend(batch);
+        for (Group &group : groups)
+          compileGroupPerModule(*group.pm, group.jobs);
+      } else {
         // Every group's graph goes onto one scheduler: parse/keying
         // leaves and pass steps of all pipelines interleave freely, and
         // each job is marked done the moment its own chain completes.
@@ -482,8 +436,6 @@ bool CompilerSession::compileAll() {
             items.push_back(std::move(item));
           }
           transforms::PassManager::BatchOptions bo;
-          bo.verifyEach = opts_.verifyEach;
-          bo.timing = opts_.collectTiming ? &timing_ : nullptr;
           bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
           for (CompileJob *job : group.jobs)
             bo.cancels.push_back(&job->cancel_);
@@ -523,21 +475,8 @@ bool CompilerSession::compileAll() {
             markDone(*job, false);
           }
         }
-        if (opts_.collectTiming)
-          for (auto &state : states)
-            state->foldTimingInto(timing_);
-      } else {
-        runFrontend(batch);
-        for (Group &group : groups) {
-          transforms::PassManager &pm = *group.pm;
-          // Per-module instrumentation needs force the serial path; it
-          // still shares the session's pool and cache.
-          bool perModule = group.jobs.size() == 1 || perModuleForced;
-          if (perModule)
-            compileGroupPerModule(pm, group.jobs);
-          else
-            compileGroupBatch(pm, group.jobs);
-        }
+        for (auto &state : states)
+          state->foldTiming();
       }
       // Retained only for statisticsStr(); a long-lived session that
       // never reads statistics must not accumulate one PassManager per

@@ -28,31 +28,29 @@
 //
 // Batch scheduling
 // ----------------
-// compileAll schedules the batch one of two ways (--pm-schedule at the
-// CLI, SessionOptions::schedule in the API):
+// Every compile runs through one executor, the PassManager's dependency
+// DAG (transforms::BatchDag): each module becomes a chain of tasks on a
+// work-stealing scheduler over the session pool — a leaf task that
+// parses the source and keys its functions (ir::hashOp), then one task
+// per (module, pass) step, with fan-out per function inside a step when
+// several functions miss the cache. The only edges are each module's
+// own pipeline order, so module B's kernels run pass 3 while module A is
+// still parsing, and each CompileJob future resolves the moment *its*
+// module's last pass (or terminal cache splice) completes rather than at
+// end of batch. In-batch dedup of identical kernels flows through the
+// shared cache's in-flight registry: the first claimant executes,
+// concurrent duplicates park and replay its stored entry. Pass execution
+// is deterministic per input, so outputs are bit-for-bit identical to
+// serial compiles at any thread count. Under --timing, per-worker clocks
+// are folded by (module, pass), so the report attributes true per-module
+// per-pass time.
 //
-//  - Dag (the default): every module becomes a chain of tasks on a
-//    work-stealing scheduler over the session pool — a leaf task that
-//    parses the source and keys its functions (ir::hashOp), then one
-//    task per (module, pass) step, with fan-out per function inside a
-//    step when several functions miss the cache. The only edges are each
-//    module's own pipeline order plus module-pass fences, so module B's
-//    kernels run pass 3 while module A is still parsing, and each
-//    CompileJob future resolves the moment *its* module's last pass (or
-//    terminal cache splice) completes rather than at end of batch.
-//    In-batch dedup of identical kernels flows through the shared
-//    cache's in-flight registry: the first claimant executes, concurrent
-//    duplicates park and replay its stored entry. Pass execution is
-//    deterministic per input, so outputs are bit-for-bit identical to
-//    lockstep (and serial) compiles. Under --timing, per-worker clocks
-//    are folded by (module, pass), so the report attributes true
-//    per-module per-pass time.
-//
-//  - Lockstep (the pre-DAG executor, kept for ablation): parse *all*
-//    modules, then march every module through each pass together, every
-//    function pass fanned across the union of all modules' kernels. A
-//    batch's latency is the sum of the slowest module at every stage,
-//    and every future resolves at end of batch.
+// Jobs with per-module instrumentation (verifyAnalyses,
+// configurePassManager) compile one at a time, each as a DAG batch of
+// one (PassManager::run): the analysis cross-checker resets the shared
+// AnalysisManager after every pass, which is only sound while a single
+// module is in flight. They still share the pool and cache, and get the
+// same per-step cancellation, deadline, and arena-cap checks.
 //
 // Memory
 // ------
@@ -123,9 +121,7 @@
 //    with "cancelled ..." or "deadline exceeded after Ns in pass P"
 //    before its next pass. A compile that is between passes reacts
 //    within one step; one stuck *inside* a pass is not interrupted
-//    (cooperative, not preemptive). The per-module instrumentation path
-//    (verifyAnalyses / configurePassManager) polls once per job, before
-//    its pipeline starts.
+//    (cooperative, not preemptive).
 //
 //  - Cache degradation. Disk trouble in the pass cache (unwritable or
 //    unreadable entries, ENOSPC) is retried once with a short backoff,
@@ -137,9 +133,10 @@
 //    entry can never replay wrong IR.
 //
 //  - Memory bounds. SessionOptions::maxArenaBytesPerModule caps each
-//    job's IR arena; a module whose arena exceeds the cap after a pass
-//    fails with a per-job OOM diagnostic ("IR arena limit exceeded")
-//    instead of growing until the kernel OOM-kills the process.
+//    job's IR arena; a module whose arena exceeds the cap at a pass/step
+//    boundary fails with a per-job OOM diagnostic ("IR arena limit
+//    exceeded ... in pass P") instead of growing until the kernel
+//    OOM-kills the process.
 //
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
@@ -187,25 +184,14 @@ struct CompileResult {
 /// for the lockstep SIMT reference executor (driver::compileForSimt).
 enum class SessionMode { Optimize, Simt };
 
-/// How compileAll schedules a batch (see the "Batch scheduling" section
-/// of the header comment). Outputs are bit-for-bit identical either way.
-enum class ScheduleMode {
-  Dag,     ///< dependency-DAG tasks; incremental futures (the default)
-  Lockstep ///< pass-by-pass barriers across the batch (ablation baseline)
-};
-
 class CompileJob;
 
 struct SessionOptions {
   SessionMode mode = SessionMode::Optimize;
 
-  /// Batch executor for compileAll; Lockstep is kept for the ablation
-  /// row (--pm-schedule=lockstep).
-  ScheduleMode schedule = ScheduleMode::Dag;
-
-  /// Workers in the session's shared pool; >1 fans function passes
-  /// across the union of every queued module's kernels (and parses
-  /// queued sources in parallel). 1 disables the pool entirely.
+  /// Workers in the session's shared pool; >1 runs the batch's parse
+  /// and pass steps (and per-function fan-out) in parallel. 1 disables
+  /// the pool entirely.
   unsigned threads = 1;
 
   /// Verify every module after every pass, attributing breakage to the
@@ -214,7 +200,7 @@ struct SessionOptions {
   /// Cross-check every pass's PreservedAnalyses declaration by
   /// recomputation. Expensive; forces the per-module compile path.
   bool verifyAnalyses = false;
-  /// Record per-pass wall-clock + peak-RSS into timingReport().
+  /// Record per-pass wall-clock + IR-arena growth into timingReport().
   bool collectTiming = false;
   /// Also collect pass statistics needing extra IR walks
   /// (statisticsStr()).
@@ -227,7 +213,8 @@ struct SessionOptions {
   /// (--job-timeout at the CLI.)
   double jobTimeoutSeconds = 0;
   /// Per-module IR-arena byte cap; a job whose module arena exceeds it
-  /// after a pass fails with a clean per-job OOM diagnostic. 0 = off.
+  /// at a pass boundary fails with a clean per-job OOM diagnostic.
+  /// 0 = off.
   uint64_t maxArenaBytesPerModule = 0;
 
   // Cache resolution, first match wins:
@@ -256,15 +243,14 @@ struct SessionOptions {
 
   /// Called on every PassManager the session builds, after standard
   /// configuration — the hook for bespoke instrumentation (paralift-opt's
-  /// --print-ir-before/after). Setting it forces the per-module compile
-  /// path, since instrumentations observe one module at a time.
+  /// --print-ir-before/after). Setting it compiles jobs one at a time,
+  /// so the hooks observe one module at a time.
   std::function<void(transforms::PassManager &)> configurePassManager;
 
   /// Invoked the moment each job's compile finishes (after its future
-  /// resolves), on whatever thread completed it — under the DAG
-  /// scheduler that is mid-batch, per module; under Lockstep, at end of
-  /// batch. Completion-order probes and schedulers hang off this; keep
-  /// it cheap and do not call back into compileAll from it.
+  /// resolves), on whatever thread completed it — mid-batch, per module.
+  /// Completion-order probes and schedulers hang off this; keep it cheap
+  /// and do not call back into compileAll from it.
   std::function<void(CompileJob &)> onJobCompleted;
 
   // Observability (see the "Observability" section above):
@@ -313,10 +299,9 @@ public:
   bool ok();
 
   /// wait(), then the seconds from the start of the compileAll batch
-  /// that compiled this job to the moment its future resolved. Under the
-  /// DAG scheduler jobs resolve incrementally, so the mean/median over a
-  /// batch measures job-completion latency (bench_compile reports both);
-  /// under Lockstep every job's latency is ~the batch wall time.
+  /// that compiled this job to the moment its future resolved. Jobs
+  /// resolve incrementally, so the mean/median over a batch measures
+  /// job-completion latency (bench_compile reports both).
   double latencySeconds();
 
   /// Requests cooperative cancellation of this job (thread-safe,
@@ -368,10 +353,9 @@ public:
   CompileJob &addModule(std::string name, ir::OwnedModule module,
                         transforms::PipelineOptions pipeline = {});
 
-  /// Compiles every job still queued: frontend in parallel across the
-  /// pool, then — for jobs sharing a pipeline — all function passes
-  /// scheduled across the union of their kernels on the same pool (see
-  /// PassManager::runOnModules). Jobs with per-module instrumentation
+  /// Compiles every job still queued: every pipeline group's DAG batch
+  /// on one scheduler over the pool (see "Batch scheduling" above and
+  /// PassManager::scheduleBatch). Jobs with per-module instrumentation
   /// needs (verifyAnalyses, configurePassManager) compile one at a time,
   /// still sharing the pool and cache. Already-compiled jobs are not
   /// recompiled (a second compileAll is a no-op for them). Returns
@@ -391,8 +375,8 @@ public:
   bool ok() const;
 
   /// Per-pass timing accumulated across every compile this session ran
-  /// (SessionOptions::collectTiming). Batch-compiled groups contribute
-  /// one record per pass covering the whole group. Blocks while a batch
+  /// (SessionOptions::collectTiming): one record per (module, pass) step
+  /// that executed, in module then pipeline order. Blocks while a batch
   /// (including a compileAllAsync one) is in flight; the reference is
   /// stable until the next compileAll starts.
   const transforms::PassTimingReport &timingReport() const;
@@ -415,8 +399,8 @@ private:
   std::vector<CompileJob *> takeQueued();
   void markDone(CompileJob &job, bool ok);
   /// Frontend for one job: parse + (in Optimize mode) IR verification.
-  /// Thread-safe across distinct jobs; the DAG scheduler runs it as each
-  /// module's leaf task.
+  /// Thread-safe across distinct jobs; the DAG runs it as each module's
+  /// leaf task.
   void runFrontendOne(CompileJob &job);
   void runFrontend(const std::vector<CompileJob *> &jobs);
   void compileSimt(const std::vector<CompileJob *> &jobs);
@@ -426,8 +410,8 @@ private:
   /// into `diag`. Returns the updated ok.
   bool finalVerify(const transforms::PassManager &pm, ir::ModuleOp module,
                    DiagnosticEngine &diag, bool ok) const;
-  void compileGroupBatch(transforms::PassManager &pm,
-                         const std::vector<CompileJob *> &group);
+  /// The instrumented path: each job of `group` compiles alone, as a DAG
+  /// batch of one carrying its cancellation token and the arena cap.
   void compileGroupPerModule(transforms::PassManager &pm,
                              const std::vector<CompileJob *> &group);
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -329,26 +328,6 @@ size_t countNestedOps(ir::Op *root, ir::OpKind kind) {
   return n;
 }
 
-uint64_t readPeakRssBytes() {
-#ifdef __linux__
-  std::FILE *f = std::fopen("/proc/self/status", "r");
-  if (!f)
-    return 0;
-  unsigned long long kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f)) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      std::sscanf(line + 6, "%llu", &kb);
-      break;
-    }
-  }
-  std::fclose(f);
-  return static_cast<uint64_t>(kb) * 1024;
-#else
-  return 0;
-#endif
-}
-
 //===----------------------------------------------------------------------===//
 // Instrumentation
 //===----------------------------------------------------------------------===//
@@ -360,13 +339,6 @@ double PassTimingReport::totalSeconds() const {
   return t;
 }
 
-uint64_t PassTimingReport::totalRssDeltaBytes() const {
-  uint64_t t = 0;
-  for (const Record &r : records)
-    t += r.rssDeltaBytes;
-  return t;
-}
-
 uint64_t PassTimingReport::totalArenaDeltaBytes() const {
   uint64_t t = 0;
   for (const Record &r : records)
@@ -375,14 +347,13 @@ uint64_t PassTimingReport::totalArenaDeltaBytes() const {
 }
 
 std::string formatTimingRow(double seconds, double total,
-                            uint64_t rssDeltaBytes, uint64_t arenaDeltaBytes,
+                            uint64_t arenaDeltaBytes,
                             const std::string &label) {
   char buf[224];
   double pct = total > 0 ? 100.0 * seconds / total : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "  %10.6f s (%5.1f%%)  rss %+9.2f MB  ir %+9.2f MB  %s\n",
-                seconds, pct, rssDeltaBytes / (1024.0 * 1024.0),
-                arenaDeltaBytes / (1024.0 * 1024.0), label.c_str());
+  std::snprintf(buf, sizeof(buf), "  %10.6f s (%5.1f%%)  ir %+9.2f MB  %s\n",
+                seconds, pct, arenaDeltaBytes / (1024.0 * 1024.0),
+                label.c_str());
   return buf;
 }
 
@@ -393,14 +364,12 @@ std::string PassTimingReport::str() const {
   os << "                      Pass execution timing\n";
   os << "===-------------------------------------------------------------===\n";
   char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "  Total: %.6f s, peak-RSS +%.2f MB, IR-arena +%.2f MB\n",
-                total, totalRssDeltaBytes() / (1024.0 * 1024.0),
-                totalArenaDeltaBytes() / (1024.0 * 1024.0));
+  std::snprintf(buf, sizeof(buf), "  Total: %.6f s, IR-arena +%.2f MB\n",
+                total, totalArenaDeltaBytes() / (1024.0 * 1024.0));
   os << buf;
   for (const Record &r : records)
     os << formatTimingRow(
-        r.seconds, total, r.rssDeltaBytes, r.arenaDeltaBytes,
+        r.seconds, total, r.arenaDeltaBytes,
         r.module.empty() ? r.spec : r.spec + "  [" + r.module + "]");
   return os.str();
 }
@@ -424,45 +393,6 @@ std::string spanName(const char *prefix, const std::string &rest) {
   s += rest;
   return s;
 }
-
-/// Installed by PassManager::enableTiming; appends one record per pass.
-class TimingInstrumentation : public Instrumentation {
-public:
-  explicit TimingInstrumentation(PassTimingReport *report)
-      : report_(report) {}
-
-  void beforePass(const Pass &, ModuleOp module) override {
-    arenaStart_ = module.op->arena().bytesAllocated();
-    rssStart_ = readPeakRssBytes();
-    start_ = std::chrono::steady_clock::now();
-  }
-  bool afterPass(const Pass &pass, ModuleOp module,
-                 DiagnosticEngine &) override {
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-    uint64_t rssEnd = readPeakRssBytes();
-    uint64_t delta = rssEnd > rssStart_ ? rssEnd - rssStart_ : 0;
-    // Arena bytes are per-module and monotonic, so the delta attributes
-    // IR growth to this pass exactly; VmHWM is process-wide and racy
-    // under concurrent compilation (kept for compatibility).
-    uint64_t arenaEnd = module.op->arena().bytesAllocated();
-    uint64_t arenaDelta = arenaEnd > arenaStart_ ? arenaEnd - arenaStart_ : 0;
-    report_->records.push_back({pass.spec(), secs, delta, arenaDelta, {}});
-    passSecondsHistogram().observe(secs);
-    return true;
-  }
-
-  /// Timing reads clocks and counters only, so cached replays may stay
-  /// lazy (unspliced) across timed passes.
-  bool inspectsIR(const Pass &) const override { return false; }
-
-private:
-  PassTimingReport *report_;
-  std::chrono::steady_clock::time_point start_;
-  uint64_t rssStart_ = 0;
-  uint64_t arenaStart_ = 0;
-};
 
 } // namespace
 
@@ -624,10 +554,6 @@ void PassManager::addInstrumentation(std::unique_ptr<Instrumentation> ins) {
   instrumentations_.push_back(std::move(ins));
 }
 
-void PassManager::enableTiming(PassTimingReport *report) {
-  addInstrumentation(std::make_unique<TimingInstrumentation>(report));
-}
-
 void PassManager::enableVerifyEach() {
   addInstrumentation(std::make_unique<VerifyInstrumentation>());
 }
@@ -654,49 +580,6 @@ std::vector<ir::Op *> collectFuncs(ModuleOp module) {
 }
 
 } // namespace
-
-bool PassManager::runOnFunctions(FunctionPass &pass,
-                                 const std::vector<ir::Op *> &funcs,
-                                 DiagnosticEngine &diag,
-                                 runtime::ThreadPool *pool) {
-  if (!pool || funcs.size() < 2) {
-    bool ok = true;
-    for (ir::Op *func : funcs)
-      ok = runPassContained(pass.name(), diag,
-                            [&] { return pass.runOnFunction(func, diag); }) &&
-           ok;
-    return ok;
-  }
-
-  // Each function is a disjoint IR subtree, so workers never touch shared
-  // IR state. DiagnosticEngine is not thread-safe: every function gets a
-  // private engine (stamped with the caller's module attribution), merged
-  // in function order afterwards so diagnostics stay deterministic
-  // regardless of scheduling.
-  std::vector<DiagnosticEngine> localDiags(funcs.size());
-  for (DiagnosticEngine &ld : localDiags)
-    ld.setModuleName(diag.moduleName());
-  std::vector<char> localOk(funcs.size(), 1);
-  std::atomic<size_t> next{0};
-  pool->parallel([&](unsigned, runtime::Team &) {
-    for (size_t i = next.fetch_add(1); i < funcs.size();
-         i = next.fetch_add(1))
-      localOk[i] = runPassContained(pass.name(), localDiags[i],
-                                    [&, i] {
-                                      return pass.runOnFunction(
-                                          funcs[i], localDiags[i]);
-                                    })
-                       ? 1
-                       : 0;
-  });
-
-  bool ok = true;
-  for (size_t i = 0; i < funcs.size(); ++i) {
-    diag.mergeFrom(localDiags[i]);
-    ok = ok && localOk[i];
-  }
-  return ok;
-}
 
 const Hash128 &PassManager::hashOf(ir::Op *func, CacheState &st) {
   auto it = st.irHash.find(func);
@@ -823,95 +706,6 @@ bool PassManager::spliceModule(ModuleOp module,
   return true;
 }
 
-bool PassManager::runPassCached(Pass &pass, ModuleOp module,
-                                DiagnosticEngine &diag,
-                                runtime::ThreadPool *pool, bool lazy,
-                                CacheState &st, RunScope &scope) {
-  if (!pass.isFunctionPass()) {
-    // Module granularity: key on the fold of the per-function hashes (the
-    // module body holds only funcs). The "module:" spec prefix keeps the
-    // key space disjoint from per-function entries.
-    const std::string spec = "module:" + pass.spec();
-    Hash128 input;
-    for (ir::Op *func : collectFuncs(module))
-      input = combineHash(input, hashOf(func, st));
-    if (auto hit = cache_->lookup(input, spec)) {
-      if (spliceModule(module, *hit, st)) {
-        analysisManager_.clear();
-        cache_->notePassReplayed();
-        return true;
-      }
-    }
-    if (!materializeAll(module, st)) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    cache_->notePassExecuted();
-    scope.wholeModule = true;
-    size_t errorsAtStart = diag.numErrors();
-    if (!runPassContained(pass.name(), diag,
-                          [&] { return pass.run(module, diag); }) ||
-        diag.numErrors() > errorsAtStart)
-      return false;
-    st.irHash.clear();
-    PassResultCache::Entry entry;
-    Hash128 output;
-    for (ir::Op *func : collectFuncs(module)) {
-      Hash128 h = ir::hashOp(func);
-      st.irHash[func] = h;
-      entry.funcHashes.push_back(h);
-      output = combineHash(output, h);
-    }
-    entry.ir = ir::printOp(module.op);
-    // The chain key of a module entry is the same per-function fold the
-    // next module pass derives its input from.
-    entry.outputHash = output;
-    cache_->store(input, spec, std::move(entry));
-    return true;
-  }
-
-  auto &fnPass = static_cast<FunctionPass &>(pass);
-  const std::string spec = pass.spec();
-  std::vector<ir::Op *> missed;
-  for (ir::Op *func : collectFuncs(module)) {
-    Hash128 input = hashOf(func, st);
-    if (auto hit = cache_->lookup(input, spec)) {
-      if (applyHit(module, func, std::move(*hit), lazy, st))
-        continue;
-      // Unparseable entry: treat as a miss and recompute.
-    }
-    // The pass must run on this function's real IR.
-    ir::Op *live = materialize(module, func, st);
-    if (!live) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    missed.push_back(live);
-  }
-  if (missed.empty()) {
-    cache_->notePassReplayed();
-    return true;
-  }
-  cache_->notePassExecuted();
-  scope.executed = missed;
-  size_t errorsAtStart = diag.numErrors();
-  if (!runOnFunctions(fnPass, missed, diag, pool) ||
-      diag.numErrors() > errorsAtStart)
-    return false;
-  for (ir::Op *func : missed) {
-    // The entry payload is the printed text (replay splices text); the
-    // chain key is the structural hash, matching what a fresh walk of
-    // the spliced replay would produce.
-    Hash128 outputHash = ir::hashOp(func);
-    Hash128 input = st.irHash[func];
-    cache_->store(input, spec, ir::printOp(func), outputHash);
-    st.irHash[func] = outputHash;
-  }
-  return true;
-}
-
 runtime::ThreadPool *PassManager::acquirePool(
     std::unique_ptr<runtime::ThreadPool> &owned, bool wantPool) {
   if (!wantPool || threads_ <= 1 || runtime::ThreadPool::insideParallel())
@@ -922,427 +716,34 @@ runtime::ThreadPool *PassManager::acquirePool(
   return owned.get();
 }
 
-bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
+bool PassManager::run(ModuleOp module, DiagnosticEngine &diag,
+                      BatchOptions opts) {
   std::unique_ptr<runtime::ThreadPool> owned;
   bool anyFunctionPass =
       std::any_of(passes_.begin(), passes_.end(),
                   [](const auto &p) { return p->isFunctionPass(); });
-  runtime::ThreadPool *pool = acquirePool(owned, anyFunctionPass);
-
-  size_t errorsAtStart = diag.numErrors();
-  for (auto &pass : passes_) {
-    pass->setStatisticsEnabled(collectStats_);
-    pass->setAnalysisManager(&analysisManager_);
-  }
-  // Entries from a previously compiled module must not survive into this
-  // run (a fresh func allocated at a recycled Op address would false-hit
-  // them); entries primed for *this* module's functions are kept.
-  analysisManager_.retainOnly(collectFuncs(module));
-
-  // Chained per-function structural IR hashes for the result cache: the
-  // initial keying is one hashOp walk per function (no printing), each
-  // executed pass re-walks its output once (becoming the next pass's
-  // input hash), and replayed passes reuse the stored output hash — so a
-  // fully cached pipeline never prints or parses IR at all. Laziness is
-  // per pass: around a pass no instrumentation inspects, hits park their
-  // cached text and only advance the hash chain; before a pass some
-  // instrumentation does inspect, every pending replay is materialized
-  // so the hooks (and the pass) observe real IR.
-  CacheState st;
-  if (cache_)
-    for (ir::Op *op : module.body())
-      if (op->kind() == ir::OpKind::Func)
-        st.irHash[op] = ir::hashOp(op);
-
-  for (auto &pass : passes_) {
-    pass->beginRun();
-    bool lazy = true;
-    for (const auto &ins : instrumentations_)
-      lazy = lazy && !ins->inspectsIR(*pass);
-    if (cache_ && !lazy && !materializeAll(module, st)) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
-      return false;
-    }
-    for (auto &ins : instrumentations_)
-      ins->beforePass(*pass, module);
-    bool ok;
-    RunScope scope;
-    {
-      trace::TraceSpan span(spanName("pass:", pass->name()), "pm");
-      if (cache_) {
-        ok = runPassCached(*pass, module, diag, pool, lazy, st, scope);
-        if (span.active())
-          span.annotate("cache", scope.wholeModule || !scope.executed.empty()
-                                     ? "run"
-                                     : "replay");
-      } else {
-        scope.wholeModule = true;
-        if (pass->isFunctionPass())
-          ok = runOnFunctions(static_cast<FunctionPass &>(*pass),
-                              collectFuncs(module), diag, pool);
-        else
-          ok = runPassContained(pass->name(), diag,
-                                [&] { return pass->run(module, diag); });
-      }
-    }
-    // Reverse order so instrumentations nest (first installed =
-    // outermost); e.g. timing installed last excludes the cost of
-    // earlier-installed IR printing / verification from its window.
-    for (auto it = instrumentations_.rbegin();
-         it != instrumentations_.rend(); ++it)
-      ok = (*it)->afterPass(*pass, module, diag) && ok;
-    if (!ok || diag.numErrors() > errorsAtStart) {
-      // Leave the module in a consistent (materialized) state even on
-      // abort; failures here are secondary to the abort being reported.
-      materializeAll(module, st);
-      return false;
-    }
-    // Drop analyses the pass did not preserve — only where it actually
-    // ran. Functions replayed from the cache are fresh Op instances (or
-    // park pending text) with no cached analyses, so replays need no
-    // invalidation at all.
-    PreservedAnalyses preserved = pass->preservedAnalyses();
-    if (scope.wholeModule)
-      analysisManager_.invalidate(preserved);
-    else
-      for (ir::Op *func : scope.executed)
-        analysisManager_.invalidate(func, preserved);
-  }
-  if (!materializeAll(module, st)) {
-    diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                            "(print/parse round-trip bug)");
-    return false;
-  }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-module batch scheduling
-//===----------------------------------------------------------------------===//
-
-void PassManager::runFunctionPassBatch(
-    FunctionPass &pass, const std::vector<ModuleOp> &modules,
-    const std::vector<DiagnosticEngine *> &diags, std::vector<char> &ok,
-    runtime::ThreadPool *pool, bool lazy, std::vector<CacheState> &st) {
-  // (module, function) work items: the union across every live module is
-  // what keeps the pool busy when individual modules hold 1-2 kernels.
-  struct Item {
-    size_t mod;
-    ir::Op *func;
-  };
-  std::vector<Item> missed;
-  const std::string spec = pass.spec();
-  for (size_t i = 0; i < modules.size(); ++i) {
-    if (!ok[i])
-      continue;
-    bool roundTripBug = false;
-    for (ir::Op *func : collectFuncs(modules[i])) {
-      if (!cache_) {
-        missed.push_back({i, func});
-        continue;
-      }
-      Hash128 input = hashOf(func, st[i]);
-      if (auto hit = cache_->lookup(input, spec)) {
-        if (applyHit(modules[i], func, std::move(*hit), lazy, st[i]))
-          continue;
-        // Unparseable entry: treat as a miss and recompute.
-      }
-      ir::Op *live = materialize(modules[i], func, st[i]);
-      if (!live) {
-        roundTripBug = true;
-        break;
-      }
-      missed.push_back({i, live});
-    }
-    if (roundTripBug) {
-      diags[i]->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
-      ok[i] = 0;
-      materializeAll(modules[i], st[i]);
-      missed.erase(std::remove_if(missed.begin(), missed.end(),
-                                  [&](const Item &it) { return it.mod == i; }),
-                   missed.end());
-    }
-  }
-  if (cache_) {
-    if (missed.empty()) {
-      cache_->notePassReplayed();
-      return;
-    }
-    cache_->notePassExecuted();
-  }
-  if (missed.empty())
-    return;
-
-  // Dedup identical functions across the batch: the same kernel text in
-  // several modules (suite harnesses, copied benchmarks) executes once;
-  // the duplicates replay the representative's stored result below.
-  std::vector<Item> dups;
-  if (cache_) {
-    std::vector<Item> uniq;
-    std::unordered_map<std::string, char> seen;
-    for (const Item &it : missed) {
-      if (seen.emplace(st[it.mod].irHash[it.func].hex(), 1).second)
-        uniq.push_back(it);
-      else
-        dups.push_back(it);
-    }
-    missed = std::move(uniq);
-  }
-
-  // Run the union; per-item diagnostics merge back in item (module,
-  // body) order so the output is deterministic regardless of scheduling.
-  const size_t n = missed.size();
-  std::vector<DiagnosticEngine> localDiags(n);
-  for (size_t k = 0; k < n; ++k)
-    localDiags[k].setModuleName(diags[missed[k].mod]->moduleName());
-  std::vector<char> localOk(n, 1);
-  auto runOne = [&](size_t k) {
-    return runPassContained(pass.name(), localDiags[k], [&] {
-             return pass.runOnFunction(missed[k].func, localDiags[k]);
-           })
-               ? 1
-               : 0;
-  };
-  if (!pool || n < 2) {
-    for (size_t k = 0; k < n; ++k)
-      localOk[k] = runOne(k);
-  } else {
-    std::atomic<size_t> next{0};
-    pool->parallel([&](unsigned, runtime::Team &) {
-      for (size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1))
-        localOk[k] = runOne(k);
-    });
-  }
-  for (size_t k = 0; k < n; ++k) {
-    size_t i = missed[k].mod;
-    diags[i]->mergeFrom(localDiags[k]);
-    if (!localOk[k] || localDiags[k].hasErrors())
-      ok[i] = 0;
-  }
-  // Failed modules keep their (partially transformed) IR materialized and
-  // stop advancing; healthy modules record results and move the hash
-  // chain forward.
-  for (size_t k = 0; k < n; ++k) {
-    size_t i = missed[k].mod;
-    if (!ok[i])
-      continue;
-    if (cache_) {
-      Hash128 outputHash = ir::hashOp(missed[k].func);
-      Hash128 input = st[i].irHash[missed[k].func];
-      cache_->store(input, spec, ir::printOp(missed[k].func), outputHash);
-      st[i].irHash[missed[k].func] = outputHash;
-    }
-  }
-  // Duplicates replay the representative's freshly stored entry; if the
-  // representative's module failed (nothing stored), run them directly.
-  for (const Item &it : dups) {
-    size_t i = it.mod;
-    if (!ok[i])
-      continue;
-    Hash128 input = st[i].irHash[it.func];
-    if (auto hit = cache_->lookup(input, spec)) {
-      if (applyHit(modules[i], it.func, std::move(*hit), lazy, st[i]))
-        continue;
-      // Unparseable entry: fall through and run the duplicate directly.
-    }
-    size_t errorsBefore = diags[i]->numErrors();
-    DiagnosticEngine local;
-    local.setModuleName(diags[i]->moduleName());
-    bool itemOk = runPassContained(
-        pass.name(), local, [&] { return pass.runOnFunction(it.func, local); });
-    diags[i]->mergeFrom(local);
-    if (!itemOk || diags[i]->numErrors() > errorsBefore) {
-      ok[i] = 0;
-      continue;
-    }
-    Hash128 outputHash = ir::hashOp(it.func);
-    cache_->store(input, spec, ir::printOp(it.func), outputHash);
-    st[i].irHash[it.func] = outputHash;
-  }
-  for (size_t i = 0; i < modules.size(); ++i)
-    if (!ok[i])
-      materializeAll(modules[i], st[i]);
-}
-
-std::vector<char>
-PassManager::runOnModules(const std::vector<ModuleOp> &modules,
-                          const std::vector<DiagnosticEngine *> &diags,
-                          const BatchOptions &opts) {
-  assert(modules.size() == diags.size());
-  std::vector<char> ok(modules.size(), 1);
-  std::unique_ptr<runtime::ThreadPool> owned;
-  runtime::ThreadPool *pool = acquirePool(
-      owned, std::any_of(passes_.begin(), passes_.end(),
-                         [](const auto &p) { return p->isFunctionPass(); }));
-
-  for (auto &pass : passes_) {
-    pass->setStatisticsEnabled(collectStats_);
-    pass->setAnalysisManager(&analysisManager_);
-  }
-  std::vector<ir::Op *> allFuncs;
-  for (ModuleOp module : modules)
-    for (ir::Op *func : collectFuncs(module))
-      allFuncs.push_back(func);
-  analysisManager_.retainOnly(allFuncs);
-
-  // Per-module hash chains (see run()); functions hash identically across
-  // modules, so two modules containing the same kernel share every cache
-  // entry within this one batch. The initial keying fans the per-function
-  // ir::hashOp walks across the pool (hashOp is deterministic, so the
-  // keys are bit-identical to serial keying); only the map fills stay on
-  // this thread, because concurrent inserts into one module's map would
-  // race.
-  std::vector<CacheState> st(modules.size());
-  const bool lazy = !opts.verifyEach;
-  if (cache_) {
-    struct KeyItem {
-      size_t mod;
-      ir::Op *func;
-    };
-    std::vector<KeyItem> items;
-    for (size_t i = 0; i < modules.size(); ++i)
-      for (ir::Op *func : collectFuncs(modules[i]))
-        items.push_back({i, func});
-    std::vector<Hash128> hashes(items.size());
-    if (pool && items.size() >= 2) {
-      std::atomic<size_t> next{0};
-      pool->parallel([&](unsigned, runtime::Team &) {
-        for (size_t k = next.fetch_add(1); k < items.size();
-             k = next.fetch_add(1))
-          hashes[k] = ir::hashOp(items[k].func);
-      });
-    } else {
-      for (size_t k = 0; k < items.size(); ++k)
-        hashes[k] = ir::hashOp(items[k].func);
-    }
-    for (size_t k = 0; k < items.size(); ++k)
-      st[items[k].mod].irHash[items[k].func] = hashes[k];
-  }
-
-  auto batchArenaBytes = [&] {
-    uint64_t total = 0;
-    for (const ModuleOp &m : modules)
-      total += m.op->arena().bytesAllocated();
-    return total;
-  };
-
-  for (auto &pass : passes_) {
-    // Cancellation/deadline poll at the pass boundary: an expired module
-    // drops out before this pass runs; the rest of the batch continues.
-    for (size_t i = 0; i < modules.size(); ++i) {
-      if (!ok[i] || i >= opts.cancels.size() || !opts.cancels[i])
-        continue;
-      std::string reason = opts.cancels[i]->expiredReason();
-      if (reason.empty())
-        continue;
-      diags[i]->error(SourceLoc(),
-                      reason + " in pass '" + pass->name() + "'");
-      ok[i] = 0;
-      materializeAll(modules[i], st[i]);
-    }
-    pass->beginRun();
-    uint64_t rssStart = 0;
-    uint64_t arenaStart = 0;
-    std::chrono::steady_clock::time_point t0;
-    if (opts.timing) {
-      rssStart = readPeakRssBytes();
-      arenaStart = batchArenaBytes();
-      t0 = std::chrono::steady_clock::now();
-    }
-
-    {
-      trace::TraceSpan span(spanName("pass:", pass->name()), "pm");
-      if (pass->isFunctionPass()) {
-        runFunctionPassBatch(static_cast<FunctionPass &>(*pass), modules,
-                             diags, ok, pool, lazy, st);
-      } else {
-        // Module passes run per module; a failure stays that module's.
-        for (size_t i = 0; i < modules.size(); ++i) {
-          if (!ok[i])
-            continue;
-          size_t errorsBefore = diags[i]->numErrors();
-          bool passOk;
-          if (cache_) {
-            RunScope scope;
-            passOk = runPassCached(*pass, modules[i], *diags[i], nullptr,
-                                   lazy, st[i], scope);
-          } else {
-            passOk = pass->run(modules[i], *diags[i]);
-          }
-          if (!passOk || diags[i]->numErrors() > errorsBefore) {
-            ok[i] = 0;
-            materializeAll(modules[i], st[i]);
-          }
-        }
-      }
-    }
-
-    if (opts.timing) {
-      double secs = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-      uint64_t rssEnd = readPeakRssBytes();
-      uint64_t arenaEnd = batchArenaBytes();
-      opts.timing->records.push_back(
-          {pass->spec(), secs, rssEnd > rssStart ? rssEnd - rssStart : 0,
-           arenaEnd > arenaStart ? arenaEnd - arenaStart : 0, {}});
-      passSecondsHistogram().observe(secs);
-    }
-
-    if (opts.verifyEach) {
-      // lazy is off, so every module is fully materialized here.
-      for (size_t i = 0; i < modules.size(); ++i) {
-        if (!ok[i])
-          continue;
-        for (const std::string &e : ir::verify(modules[i].op)) {
-          diags[i]->error(SourceLoc(), "pass '" + pass->name() +
-                                           "' broke invariant: " + e);
-          ok[i] = 0;
-        }
-      }
-    }
-
-    // Per-module arena cap: runaway IR growth becomes a clean per-job
-    // OOM failure, not process death.
-    if (opts.maxArenaBytes) {
-      for (size_t i = 0; i < modules.size(); ++i) {
-        if (!ok[i])
-          continue;
-        uint64_t bytes = modules[i].op->arena().bytesAllocated();
-        if (bytes <= opts.maxArenaBytes)
-          continue;
-        diags[i]->error(SourceLoc(),
-                        "IR arena limit exceeded (" + std::to_string(bytes) +
-                            " > " + std::to_string(opts.maxArenaBytes) +
-                            " bytes) after pass '" + pass->name() + "'");
-        ok[i] = 0;
-        materializeAll(modules[i], st[i]);
-      }
-    }
-
-    // Batch invalidation is global (the union of what ran); per-module
-    // executed-scope precision matters less here because replayed
-    // functions carry no cached analyses anyway.
-    analysisManager_.invalidate(pass->preservedAnalyses());
-  }
-
-  for (size_t i = 0; i < modules.size(); ++i) {
-    if (!ok[i])
-      continue;
-    if (!materializeAll(modules[i], st[i])) {
-      diags[i]->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
-      ok[i] = 0;
-    }
-  }
-  return ok;
+  runtime::TaskScheduler sched(acquirePool(owned, anyFunctionPass));
+  std::vector<BatchItem> items(1);
+  items[0].module = module.op;
+  items[0].diag = &diag;
+  std::shared_ptr<BatchDag> dag =
+      scheduleBatch(sched, std::move(items), std::move(opts));
+  sched.run();
+  dag->foldTiming();
+  if (!dag->finished(0))
+    diag.error(SourceLoc(), "pass pipeline aborted before completion "
+                            "(exception contained by the scheduler)");
+  return dag->results()[0] != 0;
 }
 
 //===----------------------------------------------------------------------===//
 // Dependency-DAG batch scheduling
 //===----------------------------------------------------------------------===//
+
+namespace {
+const char *const kRoundTripError =
+    "pass-cache: cached IR failed to re-parse (print/parse round-trip bug)";
+} // namespace
 
 /// One module's scheduling state (owned by exactly one task at a time;
 /// see the ownership note in the header).
@@ -1354,10 +755,14 @@ struct BatchDag::Mod {
   /// Functions not yet advanced past the current pass step.
   std::vector<ir::Op *> remaining;
   size_t passIdx = 0;
-  bool stepInited = false;
+  /// The current step's beforePass hooks ran and its afterPass hooks
+  /// have not (see enterStep / exitStep).
+  bool stepOpen = false;
   /// Whether the current step already counted a notePassExecuted (a fan
   /// join re-enters the step; the counter must bump once).
   bool stepExecuted = false;
+  /// The chain reached finish(), successfully or not.
+  bool finished = false;
 };
 
 /// Join state of one fanned-out function-pass step: per-function run
@@ -1374,20 +779,28 @@ struct BatchDag::Fan {
 
 BatchDag::BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
                    PassManager::BatchOptions opts)
-    : pm_(pm), sched_(sched), opts_(std::move(opts)),
-      lazy_(!opts_.verifyEach) {}
+    : pm_(pm), sched_(sched), opts_(std::move(opts)) {
+  for (const auto &pass : pm_.passes_) {
+    bool lazy = true;
+    for (const auto &ins : pm_.instrumentations_)
+      lazy = lazy && !ins->inspectsIR(*pass);
+    lazy_.push_back(lazy ? 1 : 0);
+  }
+}
 
 BatchDag::~BatchDag() = default;
 
+bool BatchDag::finished(size_t i) const { return mods_[i]->finished; }
+
 void BatchDag::addSample(unsigned worker, size_t i, const std::string &spec,
-                         double seconds, uint64_t rssDelta,
-                         uint64_t arenaDelta) {
-  if (opts_.timing)
-    samples_[worker].push_back(
-        {i, mods_[i]->passIdx, spec, seconds, rssDelta, arenaDelta});
+                         double seconds, uint64_t arenaDelta) {
+  samples_[worker].push_back(
+      {i, mods_[i]->passIdx, spec, seconds, arenaDelta});
 }
 
-void BatchDag::foldTimingInto(PassTimingReport &report) const {
+void BatchDag::foldTiming() const {
+  if (!pm_.timing_)
+    return;
   // Stable presentation order — module, then pipeline position —
   // regardless of which workers ran what when.
   struct Key {
@@ -1402,11 +815,10 @@ void BatchDag::foldTimingInto(PassTimingReport &report) const {
       });
       if (it == rows.end()) {
         rows.push_back({{s.mod, s.pass},
-                        {s.spec, s.seconds, s.rssDelta, s.arenaDelta,
+                        {s.spec, s.seconds, s.arenaDelta,
                          mods_[s.mod]->diag->moduleName()}});
       } else {
         it->second.seconds += s.seconds;
-        it->second.rssDeltaBytes += s.rssDelta;
         it->second.arenaDeltaBytes += s.arenaDelta;
       }
     }
@@ -1416,10 +828,9 @@ void BatchDag::foldTimingInto(PassTimingReport &report) const {
                                       : a.first.pass < b.first.pass;
   });
   // Append (never merge into existing rows): a pipeline running the same
-  // spec at two positions keeps two rows, exactly like the per-execution
-  // records the lockstep and per-module paths emit.
+  // spec at two positions keeps two rows, one per execution.
   for (auto &row : rows)
-    report.records.push_back(row.second);
+    pm_.timing_->records.push_back(row.second);
 }
 
 void BatchDag::spawnAdvance(size_t i) {
@@ -1431,11 +842,11 @@ void BatchDag::finish(size_t i, bool ok) {
   Mod &m = *mods_[i];
   if (ok && m.module) {
     if (!pm_.materializeAll(ModuleOp(m.module), m.st)) {
-      m.diag->error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                                 "(print/parse round-trip bug)");
+      m.diag->error(SourceLoc(), kRoundTripError);
       ok = false;
     }
   }
+  m.finished = true;
   ok_[i] = ok ? 1 : 0;
   if (opts_.onModuleDone)
     opts_.onModuleDone(i, ok);
@@ -1447,19 +858,51 @@ void BatchDag::fail(size_t i) {
   // a round-trip failure here is secondary to the abort being reported.
   if (m.module)
     pm_.materializeAll(ModuleOp(m.module), m.st);
+  if (m.stepOpen)
+    exitStep(i);
   finish(i, false);
 }
 
-bool BatchDag::verifyAfter(size_t i, Pass &pass) {
-  // verify-each turns lazy replay off, so the module is materialized.
+bool BatchDag::enterStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
-  bool ok = true;
-  for (const std::string &e : ir::verify(m.module)) {
-    m.diag->error(SourceLoc(),
-                  "pass '" + pass.name() + "' broke invariant: " + e);
-    ok = false;
+  ModuleOp module(m.module);
+  // Before a pass some instrumentation inspects, every pending replay is
+  // spliced so the hooks (and the pass) observe real IR.
+  if (!lazy_[m.passIdx] && !pm_.materializeAll(module, m.st)) {
+    m.diag->error(SourceLoc(), kRoundTripError);
+    fail(i);
+    return false;
   }
-  return ok;
+  if (pass.isFunctionPass()) {
+    m.remaining = collectFuncs(module);
+  } else {
+    // A module pass may erase functions (inline), and a concurrent module
+    // could recycle a freed Op address the moment it is released — so
+    // the pre-run entries must be gone *before* the pass can free
+    // anything, or the recycled address would false-hit a stale analysis
+    // (or worse, invalidate a sibling's fresh entry afterwards). A cache
+    // hit replaces every function anyway.
+    for (ir::Op *func : collectFuncs(module))
+      pm_.analysisManager_.invalidate(func);
+  }
+  m.stepOpen = true;
+  for (auto &ins : pm_.instrumentations_)
+    ins->beforePass(pass, module);
+  return true;
+}
+
+bool BatchDag::exitStep(size_t i) {
+  Mod &m = *mods_[i];
+  m.stepOpen = false;
+  Pass &pass = *pm_.passes_[m.passIdx];
+  ModuleOp module(m.module);
+  size_t errorsBefore = m.diag->numErrors();
+  bool ok = true;
+  // Reverse order so instrumentations nest (first installed = outermost).
+  for (auto it = pm_.instrumentations_.rbegin();
+       it != pm_.instrumentations_.rend(); ++it)
+    ok = (*it)->afterPass(pass, module, *m.diag) && ok;
+  return ok && m.diag->numErrors() == errorsBefore;
 }
 
 bool BatchDag::checkJobLimits(size_t i, Pass &pass) {
@@ -1536,20 +979,21 @@ void BatchDag::advance(size_t i, unsigned worker) {
     // here, where no cache claims are held and the module is quiescent.
     if (checkJobLimits(i, pass))
       return;
-    Step s;
+    Step s = Step::Failed;
     {
       trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
       // Pass bodies are individually contained (runPassContained); this
-      // outer catch covers the step machinery itself — cache probes,
-      // materialization, hashing — so no exception ever unwinds into the
-      // scheduler's worker loop. Claims held by an interrupted scan may
-      // leak until end of batch (waiters then fail via the session's
-      // sweep); the batch itself always survives.
+      // outer catch covers the step machinery itself — hooks, cache
+      // probes, materialization, hashing — so no exception ever unwinds
+      // into the scheduler's worker loop. Claims held by an interrupted
+      // scan may leak until end of batch (waiters then fail via the
+      // session's sweep); the batch itself always survives.
       try {
-        s = pass.isFunctionPass()
-                ? runFunctionPass(i, static_cast<FunctionPass &>(pass),
-                                  worker)
-                : runModulePass(i, pass, worker);
+        if (m.stepOpen || enterStep(i, pass))
+          s = pass.isFunctionPass()
+                  ? runFunctionPass(i, static_cast<FunctionPass &>(pass),
+                                    worker)
+                  : runModulePass(i, pass, worker);
       } catch (const std::exception &e) {
         m.diag->error(SourceLoc(), "pass step '" + pass.name() +
                                        "' threw: " + e.what());
@@ -1571,12 +1015,11 @@ void BatchDag::advance(size_t i, unsigned worker) {
     }
     if (s != Step::Advanced)
       return; // Yielded: a continuation owns the module now. Failed: done.
-    if (opts_.verifyEach && !verifyAfter(i, pass)) {
+    if (!exitStep(i)) {
       fail(i);
       return;
     }
     ++m.passIdx;
-    m.stepInited = false;
     m.stepExecuted = false;
   }
 }
@@ -1591,8 +1034,9 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
   Hash128 input;
   std::string spec;
   if (cache) {
-    // Same key shape as the lockstep path: fold of the per-function
-    // hashes under a "module:" spec prefix.
+    // Module granularity: key on the fold of the per-function hashes (the
+    // module body holds only funcs). The "module:" spec prefix keeps the
+    // key space disjoint from per-function entries.
     spec = "module:" + pass.spec();
     for (ir::Op *func : collectFuncs(module))
       input = combineHash(input, pm_.hashOf(func, m.st));
@@ -1602,11 +1046,6 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     if (ar.state == PassResultCache::AcquireState::Busy)
       return Step::Yielded;
     if (ar.state == PassResultCache::AcquireState::Hit) {
-      // Concurrent modules share the AnalysisManager, so invalidate the
-      // replaced functions individually — clear() would drop entries
-      // other modules' running passes hold references to.
-      for (ir::Op *func : collectFuncs(module))
-        pm_.analysisManager_.invalidate(func);
       if (pm_.spliceModule(module, *ar.entry, m.st)) {
         cache->notePassReplayed();
         return Step::Advanced;
@@ -1617,8 +1056,7 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       owned = true;
     }
     if (!pm_.materializeAll(module, m.st)) {
-      diag.error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                              "(print/parse round-trip bug)");
+      diag.error(SourceLoc(), kRoundTripError);
       if (owned)
         cache->finishCompute(input, spec);
       fail(i);
@@ -1627,16 +1065,7 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     cache->notePassExecuted();
   }
   m.stepExecuted = true;
-  // A module pass may erase functions (inline), and a concurrent module
-  // could recycle a freed Op address the moment it is released — so the
-  // pre-run entries must be gone *before* the pass can free anything, or
-  // the recycled address would false-hit a stale analysis (or worse,
-  // invalidate a sibling's fresh entry afterwards). Conservative for
-  // surviving functions.
-  for (ir::Op *func : collectFuncs(module))
-    pm_.analysisManager_.invalidate(func);
   size_t errorsBefore = diag.numErrors();
-  uint64_t rssStart = opts_.timing ? readPeakRssBytes() : 0;
   uint64_t arenaStart = module.op->arena().bytesAllocated();
   auto t0 = std::chrono::steady_clock::now();
   bool okRun = runPassContained(pass.name(), diag,
@@ -1645,24 +1074,21 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   passSecondsHistogram().observe(secs);
-  if (opts_.timing) {
-    uint64_t rssEnd = readPeakRssBytes();
-    uint64_t arenaEnd = module.op->arena().bytesAllocated();
+  if (pm_.timing_)
     addSample(worker, i, pass.spec(), secs,
-              rssEnd > rssStart ? rssEnd - rssStart : 0,
-              arenaEnd > arenaStart ? arenaEnd - arenaStart : 0);
-  }
+              module.op->arena().bytesAllocated() - arenaStart);
   if (!okRun || diag.numErrors() > errorsBefore) {
     if (owned)
       cache->finishCompute(input, spec);
     fail(i);
     return Step::Failed;
   }
-  // Entries the pass primed mid-run for functions it then mutated are
-  // stale too; its *current* functions are ours alone, so this touches
-  // no sibling state (pre-run pointers may be dead — never revisit them).
+  // Drop what the pass did not preserve. Its *current* functions are
+  // ours alone, so this touches no sibling state (pre-run pointers may
+  // be dead — never revisit them).
+  PreservedAnalyses preserved = pass.preservedAnalyses();
   for (ir::Op *func : collectFuncs(module))
-    pm_.analysisManager_.invalidate(func);
+    pm_.analysisManager_.invalidate(func, preserved);
   if (cache) {
     m.st.irHash.clear();
     PassResultCache::Entry entry;
@@ -1674,6 +1100,8 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       output = combineHash(output, h);
     }
     entry.ir = ir::printOp(module.op);
+    // The chain key of a module entry is the same per-function fold the
+    // next module pass derives its input from.
     entry.outputHash = output;
     cache->store(input, spec, std::move(entry));
     cache->finishCompute(input, spec);
@@ -1687,10 +1115,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
   ModuleOp module(m.module);
   PassResultCache *cache = pm_.cache_;
   const std::string spec = pass.spec();
-  if (!m.stepInited) {
-    m.remaining = collectFuncs(module);
-    m.stepInited = true;
-  }
+  const bool lazy = lazy_[m.passIdx] != 0;
   if (!cache) {
     // No cache: nothing to key, replay, or dedup — run every function.
     std::vector<FuncRun> toRun;
@@ -1712,7 +1137,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
       Hash128 input = pm_.hashOf(func, m.st);
       auto ar = cache->acquire(input, spec, nullptr);
       if (ar.state == PassResultCache::AcquireState::Hit) {
-        if (pm_.applyHit(module, func, std::move(*ar.entry), lazy_, m.st)) {
+        if (pm_.applyHit(module, func, std::move(*ar.entry), lazy, m.st)) {
           it = m.remaining.erase(it);
           continue;
         }
@@ -1725,8 +1150,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
       // real IR.
       ir::Op *live = pm_.materialize(module, func, m.st);
       if (!live) {
-        m.diag->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
+        m.diag->error(SourceLoc(), kRoundTripError);
         // Release every claim collected so far, not just this one — a
         // leaked claim would park other modules' waiters forever.
         if (ar.state == PassResultCache::AcquireState::Owned)
@@ -1765,15 +1189,14 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
     if (ar.state == PassResultCache::AcquireState::Busy)
       return Step::Yielded;
     if (ar.state == PassResultCache::AcquireState::Hit) {
-      if (pm_.applyHit(module, func, std::move(*ar.entry), lazy_, m.st)) {
+      if (pm_.applyHit(module, func, std::move(*ar.entry), lazy, m.st)) {
         m.remaining.erase(m.remaining.begin());
         continue;
       }
       // Corrupt entry: run it unclaimed.
       ir::Op *live = pm_.materialize(module, func, m.st);
       if (!live) {
-        m.diag->error(SourceLoc(), "pass-cache: cached IR failed to "
-                                   "re-parse (print/parse round-trip bug)");
+        m.diag->error(SourceLoc(), kRoundTripError);
         fail(i);
         return Step::Failed;
       }
@@ -1787,8 +1210,7 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
     // run the function ourselves.
     ir::Op *live = pm_.materialize(module, func, m.st);
     if (!live) {
-      m.diag->error(SourceLoc(), "pass-cache: cached IR failed to re-parse "
-                                 "(print/parse round-trip bug)");
+      m.diag->error(SourceLoc(), kRoundTripError);
       cache->finishCompute(input, spec);
       fail(i);
       return Step::Failed;
@@ -1829,31 +1251,7 @@ BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
         trace::TraceSpan span(spanName("fn:", fan->spec), "pm");
         if (span.active())
           span.annotate("mod", fan->diags[k].moduleName());
-        uint64_t rssStart = self->opts_.timing ? readPeakRssBytes() : 0;
-        // Siblings of this fan allocate into the same module arena
-        // concurrently, so per-function arena deltas within one fan are
-        // approximate; the per-(module,pass) fold remains exact.
-        uint64_t arenaStart = fan->items[k].func->arena().bytesAllocated();
-        auto t0 = std::chrono::steady_clock::now();
-        fan->oks[k] = runPassContained(fan->pass->name(), fan->diags[k],
-                                       [&] {
-                                         return fan->pass->runOnFunction(
-                                             fan->items[k].func,
-                                             fan->diags[k]);
-                                       })
-                          ? 1
-                          : 0;
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-        passSecondsHistogram().observe(secs);
-        if (self->opts_.timing) {
-          uint64_t rssEnd = readPeakRssBytes();
-          uint64_t arenaEnd = fan->items[k].func->arena().bytesAllocated();
-          self->addSample(w, i, fan->spec, secs,
-                          rssEnd > rssStart ? rssEnd - rssStart : 0,
-                          arenaEnd > arenaStart ? arenaEnd - arenaStart : 0);
-        }
+        self->runFanItem(i, *fan, k, w);
         if (fan->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           // Last finisher completes the step and resumes the chain
           // (rescanning the step, or moving on when it is drained).
@@ -1865,30 +1263,32 @@ BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
     return Step::Yielded;
   }
   // Inline: run on this worker, then complete the step directly.
-  for (size_t k = 0; k < fan->items.size(); ++k) {
-    uint64_t rssStart = opts_.timing ? readPeakRssBytes() : 0;
-    uint64_t arenaStart = fan->items[k].func->arena().bytesAllocated();
-    auto t0 = std::chrono::steady_clock::now();
-    fan->oks[k] = runPassContained(pass.name(), fan->diags[k],
-                                   [&] {
-                                     return pass.runOnFunction(
-                                         fan->items[k].func, fan->diags[k]);
-                                   })
-                      ? 1
-                      : 0;
-    double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    passSecondsHistogram().observe(secs);
-    if (opts_.timing) {
-      uint64_t rssEnd = readPeakRssBytes();
-      uint64_t arenaEnd = fan->items[k].func->arena().bytesAllocated();
-      addSample(worker, i, spec, secs,
-                rssEnd > rssStart ? rssEnd - rssStart : 0,
-                arenaEnd > arenaStart ? arenaEnd - arenaStart : 0);
-    }
-  }
+  for (size_t k = 0; k < fan->items.size(); ++k)
+    runFanItem(i, *fan, k, worker);
   return completeStep(i, *fan) ? Step::Advanced : Step::Failed;
+}
+
+void BatchDag::runFanItem(size_t i, Fan &fan, size_t k, unsigned worker) {
+  ir::Op *func = fan.items[k].func;
+  // Siblings of a fanned step allocate into the same module arena
+  // concurrently, so per-function arena deltas within one fan are
+  // approximate.
+  uint64_t arenaStart = func->arena().bytesAllocated();
+  auto t0 = std::chrono::steady_clock::now();
+  fan.oks[k] = runPassContained(fan.pass->name(), fan.diags[k],
+                                [&] {
+                                  return fan.pass->runOnFunction(
+                                      func, fan.diags[k]);
+                                })
+                   ? 1
+                   : 0;
+  double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  passSecondsHistogram().observe(secs);
+  if (pm_.timing_)
+    addSample(worker, i, fan.spec, secs,
+              func->arena().bytesAllocated() - arenaStart);
 }
 
 bool BatchDag::completeStep(size_t i, Fan &fan) {
@@ -1901,8 +1301,8 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
   }
   if (anyFailed) {
     // Release every claim unstored: parked waiters re-acquire, miss, and
-    // run the work themselves (lockstep parity: a failed module stores
-    // nothing for the step).
+    // run the work themselves (a failed module stores nothing for the
+    // step).
     if (cache)
       for (const FuncRun &r : fan.items)
         if (r.owned)
@@ -1930,19 +1330,34 @@ PassManager::scheduleBatch(runtime::TaskScheduler &sched,
                            std::vector<BatchItem> items, BatchOptions opts) {
   // One beginRun per pass per batch, before any task runs: pass objects
   // are shared by every module in flight, and their per-run state is
-  // already required to tolerate concurrent runOnFunction calls (the
-  // lockstep scheduler fans one pass across workers under a single
-  // beginRun); dynamic preservation only accumulates toward "changed
-  // more", i.e. stays conservative when modules interleave.
+  // already required to tolerate concurrent runOnFunction calls (a
+  // fanned step runs one pass across workers under a single beginRun);
+  // dynamic preservation only accumulates toward "changed more", i.e.
+  // stays conservative when modules interleave.
   for (auto &pass : passes_) {
     pass->setStatisticsEnabled(collectStats_);
     pass->setAnalysisManager(&analysisManager_);
     pass->beginRun();
   }
-  // Entries from a previous batch could false-hit through a recycled Op
-  // address, and the per-module retainOnly is impossible before the
-  // parse leaves have produced the functions — drop everything.
-  analysisManager_.clear();
+  // Entries from an earlier run must not survive into this one (a fresh
+  // func allocated at a recycled Op address would false-hit them). When
+  // every module is already parsed, entries primed for the batch's own
+  // functions are kept; otherwise the parse leaves have not produced the
+  // functions yet — drop everything.
+  std::vector<ir::Op *> funcs;
+  bool allParsed = true;
+  for (const BatchItem &item : items) {
+    if (!item.module) {
+      allParsed = false;
+      break;
+    }
+    for (ir::Op *func : collectFuncs(ModuleOp(item.module)))
+      funcs.push_back(func);
+  }
+  if (allParsed)
+    analysisManager_.retainOnly(funcs);
+  else
+    analysisManager_.clear();
 
   auto dag = std::shared_ptr<BatchDag>(
       new BatchDag(*this, sched, std::move(opts)));
@@ -1954,7 +1369,7 @@ PassManager::scheduleBatch(runtime::TaskScheduler &sched,
     mod->prepare = std::move(item.prepare);
     dag->mods_.push_back(std::move(mod));
   }
-  dag->ok_.assign(items.size(), 1);
+  dag->ok_.assign(items.size(), 0);
   dag->samples_.resize(sched.workers());
   for (size_t i = 0; i < dag->mods_.size(); ++i)
     sched.spawn(

@@ -5,13 +5,17 @@
 //  - FunctionPass: a pass that runs independently on each func, making it
 //    schedulable across kernels in parallel on the runtime thread pool.
 //  - Instrumentation: hooks around every pass execution. Built-ins cover
-//    per-pass wall-clock timing + peak-RSS growth, --print-ir-before/
-//    after, verify-after-each-pass with a "pass X broke invariant Y"
-//    diagnostic, and the preserved-analyses cross-checker.
+//    --print-ir-before/after, verify-after-each-pass with a "pass X broke
+//    invariant Y" diagnostic, and the preserved-analyses cross-checker.
+//    Per-pass wall-clock and IR-arena timing (enableTiming) is collected
+//    by the executor itself.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
-//    and schedules them over a module. It threads an AnalysisManager
-//    (transforms/analysis_manager.h) through the pipeline — invalidating
-//    per each pass's PreservedAnalyses — and optionally a PassResultCache
+//    and executes it through one engine, BatchDag: a dependency DAG of
+//    (module, pass) steps on a work-stealing runtime::TaskScheduler.
+//    scheduleBatch runs many modules at once; run() is a batch of one.
+//    It threads an AnalysisManager (transforms/analysis_manager.h)
+//    through the pipeline — invalidating per each pass's
+//    PreservedAnalyses — and optionally a PassResultCache
 //    (transforms/pass_cache.h) that replays cached IR for unchanged
 //    (function, pass) pairs instead of re-running passes.
 //
@@ -259,19 +263,15 @@ size_t countNestedOps(ir::Op *root);
 /// Number of nested ops of one kind.
 size_t countNestedOps(ir::Op *root, ir::OpKind kind);
 
-/// Current peak RSS of the process (Linux VmHWM) in bytes; 0 where the
-/// platform offers no cheap reading. Peak RSS is monotonic, so the
-/// per-pass delta attributes memory growth to the pass that caused it.
-uint64_t readPeakRssBytes();
-
 //===----------------------------------------------------------------------===//
 // Instrumentation
 //===----------------------------------------------------------------------===//
 
-/// Instrumentations nest around each pass execution: beforePass hooks
-/// fire in installation order and afterPass hooks in reverse, so the
-/// first-installed instrumentation is outermost. Install timing last to
-/// keep other instrumentations' work out of its measurement window.
+/// Instrumentations nest around each (module, pass) step of the DAG:
+/// beforePass hooks fire in installation order and afterPass hooks in
+/// reverse, so the first-installed instrumentation is outermost. Steps of
+/// one module never overlap, but in a multi-module batch the hooks of
+/// different modules may run concurrently on different workers.
 class Instrumentation {
 public:
   virtual ~Instrumentation() = default;
@@ -280,7 +280,8 @@ public:
     (void)module;
   }
   /// Runs after the pass completes (even when it failed). Returning false
-  /// aborts the pipeline; abort reasons must be reported through `diag`.
+  /// (or reporting an error) fails the module; abort reasons must be
+  /// reported through `diag`.
   virtual bool afterPass(const Pass &pass, ModuleOp module,
                          DiagnosticEngine &diag) {
     (void)pass;
@@ -289,49 +290,42 @@ public:
     return true;
   }
   /// Whether the hooks read the module IR around `pass`. When every
-  /// installed instrumentation answers false for a pass (e.g. timing
-  /// only, or a filtered IR printer watching another pass), the result
-  /// cache may defer splicing replayed IR past it — consecutive cache
-  /// hits then cost hash-chain lookups instead of parse round-trips.
-  /// Laziness is decided per pass: before a pass some instrumentation
-  /// does inspect, the PassManager materializes every pending replay so
-  /// the hooks (and the pass) observe real IR.
+  /// installed instrumentation answers false for a pass (e.g. a filtered
+  /// IR printer watching another pass), the result cache may defer
+  /// splicing replayed IR past it — consecutive cache hits then cost
+  /// hash-chain lookups instead of parse round-trips. Laziness is decided
+  /// per pass: before a pass some instrumentation does inspect, the
+  /// executor materializes every pending replay so the hooks (and the
+  /// pass) observe real IR.
   virtual bool inspectsIR(const Pass &pass) const {
     (void)pass;
     return true;
   }
 };
 
-/// Per-pass wall-clock timing and peak-RSS growth, one record per pass
-/// execution in pipeline order. Filled by the timing instrumentation
-/// PassManager::enableTiming installs; batch runs append through fold().
+/// Per-pass wall-clock timing and IR-arena growth, one record per
+/// (module, pass) step that executed, in module then pipeline order.
+/// Filled when PassManager::enableTiming installed the report: every DAG
+/// step clocks its pass bodies per worker, and BatchDag::foldTiming
+/// appends the folded rows. Steps replayed from the result cache run no
+/// pass body and record nothing.
 struct PassTimingReport {
   struct Record {
     std::string spec; ///< canonical pass spec at execution time
     double seconds = 0;
-    /// Peak-RSS growth (bytes) during the pass; 0 when the pass stayed
-    /// within the high-water mark or the platform has no reading. VmHWM
-    /// is process-wide: concurrent steps race to observe growth, and a
-    /// pass allocating below the existing high-water mark reads as 0 —
-    /// treat it as "which pass pushed the process peak", not a per-pass
-    /// footprint. The arena column below is the per-pass figure.
-    uint64_t rssDeltaBytes = 0;
-    /// IR-arena growth (bytes) of the module(s) the pass ran on: the
+    /// IR-arena growth (bytes) of the module the pass ran on: the
     /// difference in IRArena::bytesAllocated() across the pass. Arena
     /// memory is monotonic per module (erase is unlink-without-free), so
-    /// this is an exact, per-module attribution of IR materialized by
-    /// the pass — immune to the VmHWM caveats above.
+    /// this attributes the IR materialized by the pass to that pass.
     uint64_t arenaDeltaBytes = 0;
-    /// Module the time is attributed to; empty for whole-batch rows
-    /// (lockstep scheduling) and single-module runs. The DAG scheduler
-    /// folds per-worker clocks by (module, pass) into one row each, so
-    /// --timing reports true per-module per-pass time under parallel
-    /// batch scheduling.
+    /// Module the time is attributed to (its diagnostics' module name;
+    /// empty for unnamed modules). Per-worker clocks are folded by
+    /// (module, pass) into one row each, so --timing reports true
+    /// per-module per-pass time under parallel batch scheduling.
     std::string module;
   };
   std::vector<Record> records;
   double totalSeconds() const;
-  uint64_t totalRssDeltaBytes() const;
   uint64_t totalArenaDeltaBytes() const;
   /// Renders the report as a table ("===- Pass execution timing -===").
   std::string str() const;
@@ -397,9 +391,9 @@ private:
 // CancellationToken
 //===----------------------------------------------------------------------===//
 
-/// Cooperative cancellation and deadline for one compile job. The batch
-/// schedulers (runOnModules / scheduleBatch) poll it at pass/step
-/// boundaries — an expired job fails with an attributed diagnostic
+/// Cooperative cancellation and deadline for one compile job. The DAG
+/// executor (scheduleBatch, and run() as a batch of one) polls it at
+/// step boundaries — an expired job fails with an attributed diagnostic
 /// ("cancelled ..." / "deadline exceeded after Ns in pass P") before its
 /// next pass starts; the pass currently executing is never interrupted
 /// mid-flight, so IR and cache state stay consistent. Thread-safe: any
@@ -448,9 +442,10 @@ public:
 
   void addInstrumentation(std::unique_ptr<Instrumentation> ins);
 
-  /// Installs timing instrumentation; per-pass records land in `report`
-  /// (owned by the caller, written during run()).
-  void enableTiming(PassTimingReport *report);
+  /// Collects per-pass timing into `report` (owned by the caller): run()
+  /// appends its records before returning; scheduleBatch callers append
+  /// them with BatchDag::foldTiming once the scheduler drained.
+  void enableTiming(PassTimingReport *report) { timing_ = report; }
   /// Installs verify-after-each-pass.
   void enableVerifyEach();
   /// Installs IR printing around passes (see IRPrintInstrumentation).
@@ -480,50 +475,50 @@ public:
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
-  /// Number of threads used to fan function passes out across functions.
-  /// 1 (the default) disables parallel scheduling.
+  /// Number of threads run() schedules its steps on (function passes fan
+  /// out across functions). 1 (the default) drains every step on the
+  /// calling thread.
   void setThreadCount(unsigned n) { threads_ = n == 0 ? 1 : n; }
   unsigned threadCount() const { return threads_; }
 
-  /// Uses an externally owned worker pool for parallel scheduling instead
-  /// of creating one per run — the CompilerSession layer shares a single
-  /// pool across every compile it drives, amortizing worker startup.
-  /// setThreadCount(>1) still gates whether parallel scheduling happens.
+  /// Uses an externally owned worker pool for run() instead of creating
+  /// one per run — the CompilerSession layer shares a single pool across
+  /// every compile it drives, amortizing worker startup.
+  /// setThreadCount(>1) still gates whether the pool is used.
   void setThreadPool(runtime::ThreadPool *pool) { externalPool_ = pool; }
 
-  /// Runs every pass in order. Stops at the first failure (a pass
-  /// returning false, a new diagnostic error, or an instrumentation
-  /// abort) and returns false.
-  bool run(ModuleOp module, DiagnosticEngine &diag);
-
-  /// Knobs for the batch schedulers (runOnModules / scheduleBatch).
-  /// Instrumentations installed via enable* hook per-module pass
-  /// executions and do not apply to batch runs; batch supports the hooks
-  /// that matter for sessions directly.
+  /// Knobs for a DAG batch (scheduleBatch, and run() as a batch of one).
+  /// Instrumentations installed via enable*/addInstrumentation wrap every
+  /// step of every module in the batch.
   struct BatchOptions {
-    /// Verify every module after every pass, attributing breakage to the
-    /// pass and failing only the broken module.
-    bool verifyEach = false;
-    /// Lockstep: one timing record per pass covering the whole batch.
-    /// DAG: enables per-worker clock collection, folded by (module,
-    /// pass) into this report by BatchDag::foldTimingInto.
-    PassTimingReport *timing = nullptr;
-    /// DAG only: invoked (on whatever worker ran the final step) the
-    /// moment a module's last pass — or terminal cache splice — has
-    /// completed and its IR is materialized, long before the rest of the
-    /// batch drains. This is what lets CompileJob futures resolve
-    /// incrementally inside one batch.
+    /// Invoked (on whatever worker ran the final step) the moment a
+    /// module's last pass — or terminal cache splice — has completed and
+    /// its IR is materialized, long before the rest of the batch drains.
+    /// This is what lets CompileJob futures resolve incrementally inside
+    /// one batch.
     std::function<void(size_t index, bool ok)> onModuleDone;
     /// Per-module cancellation/deadline tokens, parallel to the
     /// modules/items vector (missing or null slots are never cancelled).
     /// Polled before every pass/step; an expired module fails with the
     /// token's reason attributed to the pass it would have run next.
     std::vector<const CancellationToken *> cancels;
-    /// Per-module IR-arena byte cap; a module whose arena exceeds it
-    /// after a pass fails with a per-job OOM diagnostic instead of
-    /// growing until the process dies. 0 = unlimited.
+    /// Per-module IR-arena byte cap, polled before every step; a module
+    /// whose arena exceeds it fails with a per-job OOM diagnostic
+    /// instead of growing until the process dies. 0 = unlimited.
     uint64_t maxArenaBytes = 0;
   };
+
+  /// Runs every pass in order over `module`: scheduleBatch over this one
+  /// pre-parsed module on a TaskScheduler wrapping the pool (the
+  /// setThreadPool pool, or a fresh one, when threadCount() > 1; none at
+  /// 1, where the calling thread drains every step). Stops at the first
+  /// failure (a pass returning false, a new diagnostic error, an
+  /// instrumentation abort, or an expired opts.cancels[0] token / breached
+  /// arena cap) and returns false.
+  bool run(ModuleOp module, DiagnosticEngine &diag) {
+    return run(module, diag, BatchOptions());
+  }
+  bool run(ModuleOp module, DiagnosticEngine &diag, BatchOptions opts);
 
   /// One module of a DAG batch (scheduleBatch). Either `module` is a
   /// live module op, or `prepare` produces one as a leaf task of the
@@ -536,44 +531,22 @@ public:
     std::function<std::optional<ModuleOp>()> prepare;
   };
 
-  /// Cross-module batch scheduling: runs the pipeline over all `modules`
-  /// in lockstep — pass k completes on every module before pass k+1
-  /// starts anywhere — so each function pass fans out across the union
-  /// of all modules' functions on one pool. This is what makes
-  /// --pm-threads visible on suites whose modules hold only 1-2 kernels
-  /// each (per-module fan-out starves the workers; the union does not).
-  /// Function passes never look outside their function and each module's
-  /// passes still run in pipeline order, so results are bit-identical to
-  /// compiling every module serially. The result cache (setResultCache)
-  /// is consulted per function across the whole batch, so identical
-  /// kernels in different modules share entries within one run.
-  ///
-  /// Returns per-module success. A failing module (pass error, verifier
-  /// breakage) is dropped from subsequent passes and left materialized;
-  /// the remaining modules continue unaffected (job-level isolation).
-  std::vector<char> runOnModules(const std::vector<ModuleOp> &modules,
-                                 const std::vector<DiagnosticEngine *> &diags,
-                                 const BatchOptions &opts);
-  std::vector<char>
-  runOnModules(const std::vector<ModuleOp> &modules,
-               const std::vector<DiagnosticEngine *> &diags) {
-    return runOnModules(modules, diags, BatchOptions());
-  }
-
-  /// Dependency-DAG batch scheduling, the alternative to the lockstep
-  /// runOnModules: enqueues onto `sched` one leaf task per module
-  /// (prepare/parse + initial ir::hashOp keying) and one task per
-  /// (module, pass) step, chained only by each module's own pipeline
-  /// order — module B runs pass 3 while module A is still parsing, and a
-  /// module's CompileJob resolves (opts.onModuleDone) the moment its own
-  /// last step lands instead of at end of batch. In-batch dedup of
-  /// identical kernels goes through the result cache's in-flight
+  /// Dependency-DAG batch scheduling, the one pass-execution engine:
+  /// enqueues onto `sched` one leaf task per module (prepare/parse +
+  /// initial ir::hashOp keying) and one task per (module, pass) step,
+  /// chained only by each module's own pipeline order — module B runs
+  /// pass 3 while module A is still parsing, and a module's CompileJob
+  /// resolves (opts.onModuleDone) the moment its own last step lands
+  /// instead of at end of batch. A step whose function pass misses the
+  /// cache on several functions fans them out as their own tasks. In-batch
+  /// dedup of identical kernels goes through the result cache's in-flight
   /// registry (PassResultCache::acquire): the first claimant executes, a
   /// concurrent duplicate parks and replays the stored entry. Pass
   /// execution on a given input is deterministic, so outputs are
-  /// bit-for-bit identical to lockstep (and to serial compiles)
-  /// regardless of interleaving; per-module failure isolation and lazy
-  /// cache-chain advancement carry over unchanged.
+  /// bit-for-bit identical to serial compiles regardless of
+  /// interleaving. A failing module (pass error, verifier breakage,
+  /// expired token) stops advancing and is left materialized; the rest
+  /// of the batch continues unaffected (job-level isolation).
   ///
   /// The caller runs `sched` (several PassManagers — pipeline groups —
   /// may schedule onto one scheduler; their graphs interleave freely)
@@ -591,7 +564,7 @@ public:
   /// Renders non-zero statistics of all passes as a table.
   std::string statisticsStr() const;
 
-  /// Per-run cache bookkeeping: the chained per-function structural IR
+  /// Per-module cache bookkeeping: the chained per-function structural IR
   /// hashes plus — for lazily replayed passes — cached result text
   /// accepted but not yet spliced into the module (consecutive hits only
   /// advance the hash chain; IR is materialized when a pass actually has
@@ -605,20 +578,6 @@ public:
 private:
   friend class BatchDag;
 
-  /// Runs a function pass over `funcs` (serially, or fanned out on
-  /// `pool` when given and profitable), merging worker diagnostics in
-  /// function order.
-  bool runOnFunctions(FunctionPass &pass, const std::vector<ir::Op *> &funcs,
-                      DiagnosticEngine &diag, runtime::ThreadPool *pool);
-
-  /// What one pass execution touched, for analysis invalidation.
-  struct RunScope {
-    bool wholeModule = false;        ///< module pass (or cache disabled)
-    std::vector<ir::Op *> executed;  ///< functions the pass actually ran on
-  };
-  bool runPassCached(Pass &pass, ModuleOp module, DiagnosticEngine &diag,
-                     runtime::ThreadPool *pool, bool lazy, CacheState &st,
-                     RunScope &scope);
   /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
   /// first use; never prints.
   const Hash128 &hashOf(ir::Op *func, CacheState &st);
@@ -642,19 +601,11 @@ private:
   bool spliceModule(ModuleOp module, const PassResultCache::Entry &entry,
                     CacheState &st);
 
-  /// The pool to schedule on for this run: the external pool when set,
-  /// else a fresh one parked in `owned`. Null when threads_ == 1, when
-  /// called from inside a parallel region, or when `wantPool` is false.
+  /// The pool run() schedules on: the external pool when set, else a
+  /// fresh one parked in `owned`. Null when threads_ == 1, when called
+  /// from inside a parallel region, or when `wantPool` is false.
   runtime::ThreadPool *acquirePool(std::unique_ptr<runtime::ThreadPool> &owned,
                                    bool wantPool);
-
-  /// One function pass across every live module's functions (cache-aware;
-  /// see runOnModules). Updates `ok` in place for modules that failed.
-  void runFunctionPassBatch(FunctionPass &pass,
-                            const std::vector<ModuleOp> &modules,
-                            const std::vector<DiagnosticEngine *> &diags,
-                            std::vector<char> &ok, runtime::ThreadPool *pool,
-                            bool lazy, std::vector<CacheState> &st);
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
@@ -662,6 +613,7 @@ private:
   bool collectStats_ = false;
   AnalysisManager analysisManager_;
   PassResultCache *cache_ = nullptr;
+  PassTimingReport *timing_ = nullptr;
   runtime::ThreadPool *externalPool_ = nullptr;
 };
 
@@ -677,14 +629,18 @@ public:
   ~BatchDag();
 
   /// Per-module success, in item order; stable once the scheduler ran.
+  /// A module whose task chain was severed (an exception contained by
+  /// the scheduler's worker loop) never finished and reads as failed.
   const std::vector<char> &results() const { return ok_; }
+  /// Whether module `i` reached the end of its chain (succeeded or
+  /// failed) rather than being severed.
+  bool finished(size_t i) const;
 
-  /// Folds the per-worker (module, pass) clock samples collected while
-  /// the graph ran into `report`, in module order then pipeline order.
-  /// Only meaningful when BatchOptions::timing was set. Note: the
-  /// peak-RSS column attributes the process-global high-water mark to
-  /// whichever concurrently running step observed the growth first.
-  void foldTimingInto(PassTimingReport &report) const;
+  /// Appends the per-worker (module, pass) clock samples collected while
+  /// the graph ran to the report PassManager::enableTiming installed, in
+  /// module order then pipeline order. Call once, after the scheduler
+  /// drained; no-op without an installed report.
+  void foldTiming() const;
 
 private:
   friend class PassManager;
@@ -705,7 +661,6 @@ private:
     size_t pass;
     std::string spec;
     double seconds;
-    uint64_t rssDelta;
     uint64_t arenaDelta;
   };
   /// How one pass step over one module ended.
@@ -721,41 +676,54 @@ private:
   void spawnAdvance(size_t i);
   void startModule(size_t i, unsigned worker);
   void advance(size_t i, unsigned worker);
+  /// Opens the module's step for `pass`: materializes pending replays
+  /// when a hook inspects the pass, drops the analyses a module pass may
+  /// orphan, and runs every beforePass hook. False when the module
+  /// failed (fail(i) has run).
+  bool enterStep(size_t i, Pass &pass);
+  /// Closes the open step: every afterPass hook, in reverse installation
+  /// order. False when a hook aborted or reported an error.
+  bool exitStep(size_t i);
   Step runModulePass(size_t i, Pass &pass, unsigned worker);
   Step runFunctionPass(size_t i, FunctionPass &pass, unsigned worker);
   Step executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
                      std::vector<FuncRun> toRun, unsigned worker);
+  /// Runs `fan.pass` on fan item k, clocking it into the pass-time
+  /// histogram and, under enableTiming, the worker's samples.
+  void runFanItem(size_t i, Fan &fan, size_t k, unsigned worker);
   /// Shared completion tail of a function-pass step (inline and fanned):
   /// merges worker diagnostics in item order, then either releases every
   /// owned claim unstored and fails the module (false), or stores the
   /// results, advances the hash chain, and drains `remaining` (true).
   bool completeStep(size_t i, Fan &fan);
-  bool verifyAfter(size_t i, Pass &pass);
   /// Polls the module's cancellation token (before a step) or arena cap
   /// (after); on violation records the diagnostic, fails the module, and
   /// returns true (abort the chain). Called only between steps, where no
   /// cache claims are held.
   bool checkJobLimits(size_t i, Pass &pass);
   void finish(size_t i, bool ok);
+  /// Fails module i: materializes its IR, closes an open step (afterPass
+  /// hooks still observe a failed pass), and finishes it.
   void fail(size_t i);
   void addSample(unsigned worker, size_t i, const std::string &spec,
-                 double seconds, uint64_t rssDelta, uint64_t arenaDelta);
+                 double seconds, uint64_t arenaDelta);
 
   PassManager &pm_;
   runtime::TaskScheduler &sched_;
   PassManager::BatchOptions opts_;
-  bool lazy_ = true;
+  /// Per pipeline position: whether cached replays may stay unspliced
+  /// across the pass (no installed instrumentation inspects its IR).
+  std::vector<char> lazy_;
   std::vector<std::unique_ptr<Mod>> mods_;
   std::vector<char> ok_; ///< distinct elements written by distinct owners
   std::vector<std::vector<Sample>> samples_; ///< one vector per worker
 };
 
-/// Renders one "  <secs> s (<pct>%)  <+rssMB>  <+arenaMB>  <label>"
-/// timing row (peak-RSS growth, then per-module IR-arena growth); shared
-/// by PassTimingReport::str and the benchmark aggregators so the two
-/// table formats cannot drift.
+/// Renders one "  <secs> s (<pct>%)  ir <+arenaMB>  <label>" timing row
+/// (per-module IR-arena growth); shared by PassTimingReport::str and the
+/// benchmark aggregators so the two table formats cannot drift.
 std::string formatTimingRow(double seconds, double total,
-                            uint64_t rssDeltaBytes, uint64_t arenaDeltaBytes,
+                            uint64_t arenaDeltaBytes,
                             const std::string &label);
 
 } // namespace paralift::transforms

@@ -36,13 +36,11 @@ struct FailpointGuard {
   ~FailpointGuard() { failpoint::clearAll(); }
 };
 
-driver::SessionOptions
-batchOptions(unsigned threads, transforms::PassResultCache *cache,
-             driver::ScheduleMode schedule = driver::ScheduleMode::Dag) {
+driver::SessionOptions batchOptions(unsigned threads,
+                                    transforms::PassResultCache *cache) {
   driver::SessionOptions so;
   so.threads = threads;
   so.cache = cache;
-  so.schedule = schedule;
   so.useEnvCache = false; // results must not depend on the environment
   return so;
 }
@@ -233,34 +231,31 @@ TEST(FaultContainmentTest, PassFaultFailsJobBatchSurvives) {
   std::vector<std::string> golden;
   for (int i = 0; i < 4; ++i)
     golden.push_back(serialReference(suite[i].cudaSource));
-  for (auto schedule :
-       {driver::ScheduleMode::Dag, driver::ScheduleMode::Lockstep}) {
-    std::string err;
-    // One early pass run throws (every 3rd): some jobs fail mid-pipeline.
-    ASSERT_TRUE(failpoint::configure("pass.run=throw:0,3", &err)) << err;
-    transforms::PassResultCache cache;
-    driver::CompilerSession session(batchOptions(4, &cache, schedule));
-    std::vector<driver::CompileJob *> jobs;
-    for (int i = 0; i < 4; ++i)
-      jobs.push_back(&session.addSource(suite[i].id, suite[i].cudaSource));
-    session.compileAll(); // must return; some jobs fail
-    int failCount = 0;
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(jobs[i]->ready()) << "future did not resolve";
-      if (jobs[i]->ok()) {
-        EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), golden[i])
-            << suite[i].id;
-      } else {
-        ++failCount;
-        std::string diag = jobs[i]->diagnostics().str();
-        EXPECT_NE(diag.find("injected fault"), std::string::npos) << diag;
-        EXPECT_NE(diag.find(suite[i].id), std::string::npos)
-            << "diagnostic lacks module attribution: " << diag;
-      }
+  std::string err;
+  // One early pass run throws (every 3rd): some jobs fail mid-pipeline.
+  ASSERT_TRUE(failpoint::configure("pass.run=throw:0,3", &err)) << err;
+  transforms::PassResultCache cache;
+  driver::CompilerSession session(batchOptions(4, &cache));
+  std::vector<driver::CompileJob *> jobs;
+  for (int i = 0; i < 4; ++i)
+    jobs.push_back(&session.addSource(suite[i].id, suite[i].cudaSource));
+  session.compileAll(); // must return; some jobs fail
+  int failCount = 0;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(jobs[i]->ready()) << "future did not resolve";
+    if (jobs[i]->ok()) {
+      EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), golden[i])
+          << suite[i].id;
+    } else {
+      ++failCount;
+      std::string diag = jobs[i]->diagnostics().str();
+      EXPECT_NE(diag.find("injected fault"), std::string::npos) << diag;
+      EXPECT_NE(diag.find(suite[i].id), std::string::npos)
+          << "diagnostic lacks module attribution: " << diag;
     }
-    EXPECT_GT(failCount, 0) << "fault schedule injected nothing";
-    failpoint::clearAll();
   }
+  EXPECT_GT(failCount, 0) << "fault schedule injected nothing";
+  failpoint::clearAll();
 }
 
 TEST(FaultContainmentTest, SchedulerTaskFaultNeverHangsTheBatch) {
@@ -315,45 +310,56 @@ TEST(CancellationTest, JobTimeoutCancelsCleanly) {
   FailpointGuard guard;
   std::string err;
   // Make every pass take ~30ms so a 10ms deadline reliably expires at
-  // the first post-pass boundary, in both schedulers.
+  // the first post-pass boundary.
   ASSERT_TRUE(failpoint::configure("pass.run=delay(30)", &err)) << err;
   const auto &suite = rodinia::suite();
-  for (auto schedule :
-       {driver::ScheduleMode::Dag, driver::ScheduleMode::Lockstep}) {
-    transforms::PassResultCache cache;
-    driver::SessionOptions so = batchOptions(2, &cache, schedule);
-    so.jobTimeoutSeconds = 0.01;
-    driver::CompilerSession session(std::move(so));
-    std::vector<driver::CompileJob *> jobs;
-    for (int i = 0; i < 3; ++i)
-      jobs.push_back(&session.addSource(suite[i].id, suite[i].cudaSource));
-    EXPECT_FALSE(session.compileAll());
-    for (driver::CompileJob *job : jobs) {
-      ASSERT_TRUE(job->ready()) << "future did not resolve";
-      EXPECT_FALSE(job->ok());
-      std::string diag = job->diagnostics().str();
-      EXPECT_NE(diag.find("deadline exceeded after 0.01s"),
-                std::string::npos)
-          << diag;
-    }
+  transforms::PassResultCache cache;
+  driver::SessionOptions so = batchOptions(2, &cache);
+  so.jobTimeoutSeconds = 0.01;
+  driver::CompilerSession session(std::move(so));
+  std::vector<driver::CompileJob *> jobs;
+  for (int i = 0; i < 3; ++i)
+    jobs.push_back(&session.addSource(suite[i].id, suite[i].cudaSource));
+  EXPECT_FALSE(session.compileAll());
+  for (driver::CompileJob *job : jobs) {
+    ASSERT_TRUE(job->ready()) << "future did not resolve";
+    EXPECT_FALSE(job->ok());
+    std::string diag = job->diagnostics().str();
+    EXPECT_NE(diag.find("deadline exceeded after 0.01s"), std::string::npos)
+        << diag;
   }
 }
 
 TEST(CancellationTest, ArenaCapFailsJobWithCleanDiagnostic) {
   const auto &suite = rodinia::suite();
-  for (auto schedule :
-       {driver::ScheduleMode::Dag, driver::ScheduleMode::Lockstep}) {
-    transforms::PassResultCache cache;
-    driver::SessionOptions so = batchOptions(2, &cache, schedule);
-    so.maxArenaBytesPerModule = 1; // everything breaches immediately
-    driver::CompilerSession session(std::move(so));
-    auto &job = session.addSource("capped", suite[0].cudaSource);
-    EXPECT_FALSE(session.compileAll());
-    EXPECT_FALSE(job.ok());
-    EXPECT_NE(job.diagnostics().str().find("IR arena limit exceeded"),
-              std::string::npos)
-        << job.diagnostics().str();
-  }
+  transforms::PassResultCache cache;
+  driver::SessionOptions so = batchOptions(2, &cache);
+  so.maxArenaBytesPerModule = 1; // everything breaches immediately
+  driver::CompilerSession session(std::move(so));
+  auto &job = session.addSource("capped", suite[0].cudaSource);
+  EXPECT_FALSE(session.compileAll());
+  EXPECT_FALSE(job.ok());
+  EXPECT_NE(job.diagnostics().str().find("IR arena limit exceeded"),
+            std::string::npos)
+      << job.diagnostics().str();
+}
+
+TEST(CancellationTest, InstrumentedPathEnforcesArenaCapPerPass) {
+  // verifyAnalyses compiles each job alone, as a DAG batch of one: the
+  // arena cap is polled at every pass boundary like the batch path's,
+  // so the breach is attributed to a pass, not to the whole pipeline.
+  const auto &suite = rodinia::suite();
+  transforms::PassResultCache cache;
+  driver::SessionOptions so = batchOptions(2, &cache);
+  so.verifyAnalyses = true;
+  so.maxArenaBytesPerModule = 1;
+  driver::CompilerSession session(std::move(so));
+  auto &job = session.addSource("capped", suite[0].cudaSource);
+  EXPECT_FALSE(session.compileAll());
+  EXPECT_FALSE(job.ok());
+  std::string diag = job.diagnostics().str();
+  EXPECT_NE(diag.find("IR arena limit exceeded"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("in pass '"), std::string::npos) << diag;
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,8 +460,7 @@ namespace {
 /// returns, every future resolves, failed jobs carry attributed
 /// diagnostics, succeeded jobs are bit-identical to the fault-free
 /// reference.
-void soakRound(unsigned seed, driver::ScheduleMode schedule,
-               const std::vector<std::string> &golden) {
+void soakRound(unsigned seed, const std::vector<std::string> &golden) {
   std::string s = std::to_string(seed);
   std::string spec = "pass.run=throw:" + s + ",0.02"
                      ";parse.module=throw:" + s + ",0.1"
@@ -470,7 +475,7 @@ void soakRound(unsigned seed, driver::ScheduleMode schedule,
     // A disk-backed cache so the cache.disk.* faults have a real IO
     // path to corrupt (read/write errors retry, then demote cleanly).
     transforms::PassResultCache cache(dir);
-    driver::CompilerSession session(batchOptions(4, &cache, schedule));
+    driver::CompilerSession session(batchOptions(4, &cache));
     std::vector<driver::CompileJob *> jobs;
     for (const auto &b : suite)
       jobs.push_back(&session.addSource(b.id, b.cudaSource));
@@ -514,10 +519,8 @@ TEST(FaultSoakTest, RodiniaSurvivesSeededFaultSchedules) {
 
   uint64_t triggeredBefore = counterVal("failpoint.triggered.pass.run") +
                              counterVal("failpoint.triggered.parse.module");
-  for (unsigned seed : seeds) {
-    soakRound(seed, driver::ScheduleMode::Dag, golden);
-    soakRound(seed, driver::ScheduleMode::Lockstep, golden);
-  }
+  for (unsigned seed : seeds)
+    soakRound(seed, golden);
   // The soak must actually have injected something, or it proved nothing.
   EXPECT_GT(counterVal("failpoint.triggered.pass.run") +
                 counterVal("failpoint.triggered.parse.module"),

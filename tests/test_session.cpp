@@ -21,13 +21,11 @@ using transforms::PipelineOptions;
 
 namespace {
 
-driver::SessionOptions
-batchOptions(unsigned threads, transforms::PassResultCache *cache,
-             driver::ScheduleMode schedule = driver::ScheduleMode::Dag) {
+driver::SessionOptions batchOptions(unsigned threads,
+                                    transforms::PassResultCache *cache) {
   driver::SessionOptions so;
   so.threads = threads;
   so.cache = cache;
-  so.schedule = schedule;
   so.useEnvCache = false; // results must not depend on the environment
   return so;
 }
@@ -76,9 +74,9 @@ ir::OwnedModule parseOk(const std::string &text) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionBatchTest, RodiniaBatchMatchesSerialAllModes) {
-  // The golden contract: DAG and lockstep batch scheduling are both
-  // bit-for-bit identical to serial one-shot compiles, in every
-  // pipeline mode — so the DAG reordering is unobservable in outputs.
+  // The golden contract: the DAG batch at pm-threads=4 is bit-for-bit
+  // identical to serial one-shot compiles, in every pipeline mode — so
+  // the DAG reordering is unobservable in outputs.
   struct Mode {
     const char *name;
     PipelineOptions opts;
@@ -86,36 +84,26 @@ TEST(SessionBatchTest, RodiniaBatchMatchesSerialAllModes) {
   const Mode modes[] = {{"full", PipelineOptions{}},
                         {"optDisabled", PipelineOptions::optDisabled()},
                         {"mcuda", PipelineOptions::mcuda()}};
-  struct Sched {
-    const char *name;
-    driver::ScheduleMode mode;
-  };
-  const Sched scheds[] = {{"dag", driver::ScheduleMode::Dag},
-                          {"lockstep", driver::ScheduleMode::Lockstep}};
   for (const Mode &mode : modes) {
     std::vector<std::string> expected;
     for (const auto &b : rodinia::suite())
       expected.push_back(serialReference(b.cudaSource, mode.opts));
 
-    for (const Sched &sched : scheds) {
-      // The whole suite as one batch: threaded pool, one shared cache.
-      transforms::PassResultCache cache;
-      driver::CompilerSession session(
-          batchOptions(/*threads=*/4, &cache, sched.mode));
-      std::vector<driver::CompileJob *> jobs;
-      for (const auto &b : rodinia::suite())
-        jobs.push_back(&session.addSource(b.id, b.cudaSource, mode.opts));
-      EXPECT_TRUE(session.compileAll()) << mode.name << "/" << sched.name;
+    // The whole suite as one batch: threaded pool, one shared cache.
+    transforms::PassResultCache cache;
+    driver::CompilerSession session(batchOptions(/*threads=*/4, &cache));
+    std::vector<driver::CompileJob *> jobs;
+    for (const auto &b : rodinia::suite())
+      jobs.push_back(&session.addSource(b.id, b.cudaSource, mode.opts));
+    EXPECT_TRUE(session.compileAll()) << mode.name;
 
-      size_t i = 0;
-      for (const auto &b : rodinia::suite()) {
-        ASSERT_TRUE(jobs[i]->ok())
-            << mode.name << "/" << sched.name << "/" << b.id << ": "
-            << jobs[i]->diagnostics().str();
-        EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), expected[i])
-            << mode.name << "/" << sched.name << "/" << b.id;
-        ++i;
-      }
+    size_t i = 0;
+    for (const auto &b : rodinia::suite()) {
+      ASSERT_TRUE(jobs[i]->ok()) << mode.name << "/" << b.id << ": "
+                                 << jobs[i]->diagnostics().str();
+      EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), expected[i])
+          << mode.name << "/" << b.id;
+      ++i;
     }
   }
 }
@@ -169,33 +157,30 @@ TEST(SessionBatchTest, SharedCacheReplaysAcrossSessions) {
 
 TEST(SessionBatchTest, ParallelKeyingMatchesSerialKeying) {
   // Keys produced by the fanned-out ir::hashOp leaf tasks must be
-  // identical to serial keying: a cache populated by a serial lockstep
-  // session must replay a threaded DAG session without a single new miss
-  // or executed pass, and vice versa. A keying divergence in either
+  // identical to serial keying: a cache populated by a 1-thread session
+  // must replay a 4-thread session without a single new miss or
+  // executed pass, and vice versa. A keying divergence in either
   // direction would surface as misses.
-  for (bool dagFirst : {false, true}) {
+  for (bool threadedFirst : {false, true}) {
     transforms::PassResultCache cache;
     {
-      driver::CompilerSession session(batchOptions(
-          dagFirst ? 4u : 1u, &cache,
-          dagFirst ? driver::ScheduleMode::Dag
-                   : driver::ScheduleMode::Lockstep));
+      driver::CompilerSession session(
+          batchOptions(threadedFirst ? 4u : 1u, &cache));
       for (const auto &b : rodinia::suite())
         session.addSource(b.id, b.cudaSource, PipelineOptions{});
       ASSERT_TRUE(session.compileAll());
     }
     auto populated = cache.stats();
-    driver::CompilerSession session(batchOptions(
-        dagFirst ? 1u : 4u, &cache,
-        dagFirst ? driver::ScheduleMode::Lockstep
-                 : driver::ScheduleMode::Dag));
+    driver::CompilerSession session(
+        batchOptions(threadedFirst ? 1u : 4u, &cache));
     for (const auto &b : rodinia::suite())
       session.addSource(b.id, b.cudaSource, PipelineOptions{});
     ASSERT_TRUE(session.compileAll());
     auto warmed = cache.stats();
-    EXPECT_EQ(warmed.misses, populated.misses) << "dagFirst=" << dagFirst;
+    EXPECT_EQ(warmed.misses, populated.misses)
+        << "threadedFirst=" << threadedFirst;
     EXPECT_EQ(warmed.passesExecuted, populated.passesExecuted)
-        << "dagFirst=" << dagFirst;
+        << "threadedFirst=" << threadedFirst;
     EXPECT_GT(warmed.passesReplayed, populated.passesReplayed);
   }
 }
@@ -300,8 +285,7 @@ TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
   // runs depth-first, so the first job observably resolves while other
   // modules still have passes left to execute — the cache's
   // passes-executed counter at that instant must be short of its final
-  // value. (Under lockstep every pass has executed before any job
-  // resolves, so this probe is exactly the incremental-futures contract.)
+  // value — the incremental-futures contract.
   transforms::PassResultCache cache;
   driver::SessionOptions so = batchOptions(1, &cache);
   std::atomic<uint64_t> executedAtFirstCompletion{0};
