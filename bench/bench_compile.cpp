@@ -59,11 +59,11 @@ void printPassBreakdown() {
         [&] {
           for (const auto &b : rodinia::suite()) {
             DiagnosticEngine diag;
-            transforms::PassRunConfig config;
-            config.threads = threads;
+            driver::SessionOptions so;
+            so.threads = threads;
             auto cc = driver::compile(b.cudaSource,
                                       transforms::PipelineOptions{}, diag,
-                                      config);
+                                      std::move(so));
             benchmark::DoNotOptimize(cc.ok);
           }
         },

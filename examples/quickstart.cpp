@@ -7,12 +7,12 @@
 // The embedding API is driver::CompilerSession: queue sources with
 // addSource (each returns a CompileJob future), compile them all —
 // batched across one worker pool, optionally asynchronously — and read
-// per-job results/diagnostics. This example runs one session in SIMT
-// mode (the §III frontend view) and one optimizing session started with
-// compileAllAsync(), preparing the input data while the compiler works.
-// For exactly one module the legacy one-shot wrapper
-// driver::compile(source, opts, diag) does the same thing with less
-// ceremony.
+// per-job results/diagnostics. This example runs one session on the
+// one-pass "inline-kernels" pipeline (the §III frontend view) and one
+// optimizing session started with compileAllAsync(), preparing the input
+// data while the compiler works. For exactly one module the one-shot
+// wrapper driver::compile(source, opts, diag) does the same thing with
+// less ceremony.
 //
 // Build & run:  ./build/examples/quickstart
 #include "driver/compiler.h"
@@ -45,10 +45,11 @@ void launch(float* d_out, float* d_in, int n) {
 )";
 
 int main() {
-  // 1. Frontend only: a SIMT-mode session gives the §III representation
-  // (grid/block scf.parallel, device functions inlined).
+  // 1. Frontend view: the one-pass "inline-kernels" pipeline gives the
+  // §III representation (grid/block scf.parallel, device functions
+  // inlined).
   driver::SessionOptions simtOpts;
-  simtOpts.mode = driver::SessionMode::Simt;
+  simtOpts.pipelineSpec = "inline-kernels";
   driver::CompilerSession simt(std::move(simtOpts));
   auto &frontendJob = simt.addSource("quickstart.cu", kSource);
   if (!simt.compileAll()) {

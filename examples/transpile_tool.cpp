@@ -57,8 +57,10 @@ int main(int argc, char **argv) {
   }
 
   driver::SessionOptions so;
-  so.mode = frontendOnly ? driver::SessionMode::Simt
-                         : driver::SessionMode::Optimize;
+  // -cuda-lower stops at the frontend view: device functions inlined into
+  // the grid/block parallel nests, barriers preserved.
+  if (frontendOnly)
+    so.pipelineSpec = "inline-kernels";
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> jobs;
   for (const std::string &path : paths) {

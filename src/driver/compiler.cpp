@@ -2,47 +2,22 @@
 
 namespace paralift::driver {
 
-// The legacy free functions are one-shot wrappers over a temporary
-// single-job CompilerSession (driver/session.{h,cpp}); behavior —
-// diagnostics, verification gates, $PARALIFT_CACHE_DIR handling — is the
-// session's single-module path, which matches the pre-session facade
-// exactly.
-
 CompileResult compile(const std::string &source,
                       const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag,
-                      const transforms::PassRunConfig &config) {
-  SessionOptions so;
-  so.threads = config.threads;
-  so.verifyEach = config.verifyEach;
-  so.verifyAnalyses = config.verifyAnalyses;
-  so.collectTiming = config.timing != nullptr;
-  so.cache = config.cache; // null: session falls back to the env cache
+                      DiagnosticEngine &diag, SessionOptions so) {
   CompilerSession session(std::move(so));
   CompileJob &job = session.addSource("", source, opts);
   session.compileAll();
   diag.mergeFrom(job.diagnostics());
-  if (config.timing)
-    for (const auto &r : session.timingReport().records)
-      config.timing->records.push_back(r);
   return job.take();
-}
-
-CompileResult compile(const std::string &source,
-                      const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag) {
-  return compile(source, opts, diag, transforms::PassRunConfig{});
 }
 
 CompileResult compileForSimt(const std::string &source,
                              DiagnosticEngine &diag) {
   SessionOptions so;
-  so.mode = SessionMode::Simt;
-  CompilerSession session(std::move(so));
-  CompileJob &job = session.addSource("", source);
-  session.compileAll();
-  diag.mergeFrom(job.diagnostics());
-  return job.take();
+  so.pipelineSpec = "inline-kernels";
+  so.useEnvCache = false;
+  return compile(source, transforms::PipelineOptions{}, diag, std::move(so));
 }
 
 Executor::Executor(ir::ModuleOp module, unsigned maxThreads,

@@ -17,18 +17,15 @@
 //   exec.run("launch", {Executor::buffer(out), Executor::buffer(in),
 //                       int64_t(n)});
 //
-// The free functions below are the legacy one-shot facade, kept as thin
-// wrappers over a temporary single-job session. They remain the
-// convenient spelling for compiling exactly one module:
+// The free functions below compile exactly one module through a
+// temporary single-job session, so they follow the same compile path,
+// diagnostics and verification gates as any session job:
 //
 //   DiagnosticEngine diag;
 //   auto cc = driver::compile(source, PipelineOptions{}, diag);
 //
-// Migration from the pre-session facade: compile(src, opts, diag[, cfg])
-// and compileForSimt(src, diag) behave exactly as before (including the
-// $PARALIFT_CACHE_DIR process-wide cache); every former call site that
-// compiled several modules in a loop can instead queue them on one
-// session and share its pool and cache.
+// Use them for one module; to compile several, queue them on one session
+// instead so they share its pool and cache.
 #pragma once
 
 #include "driver/session.h"
@@ -41,31 +38,21 @@
 
 namespace paralift::driver {
 
-/// One-shot wrapper: full pipeline (frontend -> optimization/cpuify/
-/// omp-lowering) through a temporary session.
+/// One-shot compile: full pipeline (frontend -> optimization/cpuify/
+/// omp-lowering) through a temporary session configured by `so` (threads,
+/// verification, cache; see SessionOptions). With the default options
+/// and PARALIFT_CACHE_DIR set in the environment, the process-wide
+/// persistent cache rooted there is used (see envPassResultCache);
+/// set so.useEnvCache = false for an uncached compile.
 CompileResult compile(const std::string &source,
                       const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag);
+                      DiagnosticEngine &diag, SessionOptions so = {});
 
-/// As above with pass-manager instrumentation/scheduling knobs: per-pass
-/// wall-clock timing + IR-arena growth (config.timing),
-/// verify-after-each-pass, preserved-analyses cross-checking (config.verifyAnalyses), parallel
-/// per-kernel scheduling of function passes (config.threads), and a
-/// pass-result cache (config.cache).
-///
-/// When config.cache is null and PARALIFT_CACHE_DIR is set in the
-/// environment, a process-wide persistent cache rooted there is used
-/// (bounded by PARALIFT_CACHE_LIMIT MB when set); with
-/// PARALIFT_CACHE_STATS=1 its stats line is printed to stderr at
-/// process exit.
-CompileResult compile(const std::string &source,
-                      const transforms::PipelineOptions &opts,
-                      DiagnosticEngine &diag,
-                      const transforms::PassRunConfig &config);
-
-/// One-shot wrapper for SessionMode::Simt: frontend + device-function
-/// inlining only. Barriers are preserved; kernels execute on the
-/// lockstep SIMT emulator giving ground-truth CUDA semantics.
+/// One-shot frontend view for the lockstep SIMT reference executor: a
+/// session running the one-pass "inline-kernels" pipeline (device
+/// functions inlined into kernels), never cached, so the oracle cannot
+/// replay the results it checks. Barriers are preserved; kernels execute
+/// on the lockstep SIMT emulator giving ground-truth CUDA semantics.
 CompileResult compileForSimt(const std::string &source,
                              DiagnosticEngine &diag);
 

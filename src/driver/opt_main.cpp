@@ -314,7 +314,7 @@ int optMain(int argc, char **argv) {
   so.metricsToStderr = metricsToStderr;
   so.metricsJsonPath = metricsJsonPath;
   // --cuda inputs run the frontend, then device-function inlining (the
-  // compileForSimt lowering), then the explicit pipeline.
+  // frontend view compileForSimt produces), then the explicit pipeline.
   so.pipelineSpec = cuda ? (passes.empty() ? std::string("inline-kernels")
                                            : "inline-kernels," + passes)
                          : passes;

@@ -9,7 +9,6 @@
 #include "transforms/registry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -177,7 +176,6 @@ CompileJob &CompilerSession::addModule(std::string name,
   job.session_ = this;
   job.name_ = std::move(name);
   job.preparsed_ = true;
-  job.frontendOk_ = true;
   job.result_.module = std::move(module);
   job.pipelineOpts_ = pipeline;
   job.diag_.setModuleName(job.name_);
@@ -218,7 +216,7 @@ void CompilerSession::markDone(CompileJob &job, bool ok) {
     opts_.onJobCompleted(job);
 }
 
-void CompilerSession::runFrontendOne(CompileJob &job) {
+bool CompilerSession::runFrontendOne(CompileJob &job) {
   trace::TraceSpan span(trace::enabled() ? "parse:" + job.name_
                                          : std::string(),
                         "frontend");
@@ -231,67 +229,18 @@ void CompilerSession::runFrontendOne(CompileJob &job) {
   } catch (const std::exception &e) {
     job.diag_.error(SourceLoc(),
                     "module parse threw: " + std::string(e.what()));
-    return;
+    return false;
   } catch (...) {
     job.diag_.error(SourceLoc(),
                     "module parse threw a non-standard exception");
-    return;
+    return false;
   }
   if (job.diag_.hasErrors())
-    return;
-  if (opts_.mode == SessionMode::Optimize) {
-    // Same gate the facade always applied: diagnostics clean AND the
-    // produced IR structurally valid.
-    auto errors = ir::verify(job.result_.module.op());
-    if (!errors.empty()) {
-      for (const std::string &e : errors)
-        job.diag_.error(SourceLoc(), "frontend produced invalid IR: " + e);
-      return;
-    }
-  }
-  job.frontendOk_ = true;
-}
-
-void CompilerSession::runFrontend(const std::vector<CompileJob *> &jobs) {
-  std::vector<CompileJob *> toParse;
-  for (CompileJob *job : jobs)
-    if (!job->preparsed_)
-      toParse.push_back(job);
-  // Each job owns its module and engine, so parsing fans out trivially.
-  if (pool_ && toParse.size() >= 2) {
-    std::atomic<size_t> next{0};
-    pool_->parallel([&](unsigned, runtime::Team &) {
-      for (size_t k = next.fetch_add(1); k < toParse.size();
-           k = next.fetch_add(1))
-        runFrontendOne(*toParse[k]);
-    });
-  } else {
-    for (CompileJob *job : toParse)
-      runFrontendOne(*job);
-  }
-}
-
-void CompilerSession::compileSimt(const std::vector<CompileJob *> &jobs) {
-  auto simtOne = [](CompileJob &job) {
-    if (!job.frontendOk_)
-      return false;
-    transforms::runInliner(job.result_.module.get(), /*onlyInKernels=*/true);
-    return ir::verifyOk(job.result_.module.op());
-  };
-  std::vector<char> oks(jobs.size(), 0);
-  if (pool_ && jobs.size() >= 2) {
-    std::atomic<size_t> next{0};
-    pool_->parallel([&](unsigned, runtime::Team &) {
-      for (size_t k = next.fetch_add(1); k < jobs.size();
-           k = next.fetch_add(1))
-        oks[k] = simtOne(*jobs[k]) ? 1 : 0;
-    });
-  } else {
-    for (size_t k = 0; k < jobs.size(); ++k)
-      oks[k] = simtOne(*jobs[k]) ? 1 : 0;
-  }
-  for (size_t k = 0; k < jobs.size(); ++k)
-    markDone(*jobs[k], oks[k] != 0);
+    return false;
+  auto errors = ir::verify(job.result_.module.op());
+  for (const std::string &e : errors)
+    job.diag_.error(SourceLoc(), "frontend produced invalid IR: " + e);
+  return errors.empty();
 }
 
 bool CompilerSession::finalVerify(const transforms::PassManager &pm,
@@ -307,22 +256,6 @@ bool CompilerSession::finalVerify(const transforms::PassManager &pm,
     ok = false;
   }
   return ok;
-}
-
-void CompilerSession::compileGroupPerModule(
-    transforms::PassManager &pm, const std::vector<CompileJob *> &group) {
-  for (CompileJob *job : group) {
-    if (!job->frontendOk_) {
-      markDone(*job, false);
-      continue;
-    }
-    transforms::PassManager::BatchOptions bo;
-    bo.cancels.push_back(&job->cancel_);
-    bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
-    bool ok = pm.run(job->result_.module.get(), job->diag_, std::move(bo));
-    ok = finalVerify(pm, job->result_.module.get(), job->diag_, ok);
-    markDone(*job, ok);
-  }
 }
 
 bool CompilerSession::compileAll() {
@@ -342,149 +275,131 @@ bool CompilerSession::compileAll() {
       for (CompileJob *job : batch)
         trace::asyncBegin("job:" + job->name_,
                           reinterpret_cast<uintptr_t>(job));
-    if (opts_.mode == SessionMode::Simt) {
-      runFrontend(batch);
-      compileSimt(batch);
+    // Group jobs by pipeline; each group compiles against one
+    // PassManager, whose DAG batch covers every job of the group. The
+    // key is the built pipeline's canonical spec — not the
+    // PipelineOptions fields — so a future option can never silently
+    // misgroup jobs onto another job's pipeline; the PassManager built
+    // for each group's first job is the one the group then runs.
+    struct Group {
+      std::string key;
+      std::unique_ptr<transforms::PassManager> pm;
+      std::vector<CompileJob *> jobs;
+    };
+    std::vector<Group> groups;
+    if (opts_.pipelineSpec) {
+      auto pm = std::make_unique<transforms::PassManager>();
+      DiagnosticEngine specDiag;
+      if (!transforms::buildPipelineFromSpec(*pm, *opts_.pipelineSpec,
+                                             specDiag)) {
+        for (CompileJob *job : batch) {
+          job->diag_.mergeFrom(specDiag);
+          markDone(*job, false);
+        }
+      } else {
+        groups.push_back({*opts_.pipelineSpec, std::move(pm), batch});
+      }
     } else {
-      // Group jobs by pipeline; each group compiles against one
-      // PassManager, whose DAG batch covers every job of the group.
-      // The key is the built pipeline's canonical spec — not the
-      // PipelineOptions fields — so a future option can never silently
-      // misgroup jobs onto another job's pipeline; the PassManager built
-      // for each group's first job is the one the group then runs.
-      struct Group {
-        std::string key;
-        std::unique_ptr<transforms::PassManager> pm;
-        std::vector<CompileJob *> jobs;
-      };
-      std::vector<Group> groups;
-      if (opts_.pipelineSpec) {
+      for (CompileJob *job : batch) {
         auto pm = std::make_unique<transforms::PassManager>();
-        DiagnosticEngine specDiag;
-        if (!transforms::buildPipelineFromSpec(*pm, *opts_.pipelineSpec,
-                                               specDiag)) {
-          for (CompileJob *job : batch) {
-            job->diag_.mergeFrom(specDiag);
-            markDone(*job, false);
-          }
-        } else {
-          groups.push_back({*opts_.pipelineSpec, std::move(pm), batch});
+        transforms::buildPipeline(*pm, job->pipelineOpts_);
+        std::string key = pm->pipelineSpec();
+        auto it = std::find_if(groups.begin(), groups.end(),
+                               [&](const Group &g) { return g.key == key; });
+        if (it == groups.end()) {
+          groups.push_back({std::move(key), std::move(pm), {}});
+          it = groups.end() - 1;
         }
-      } else {
-        for (CompileJob *job : batch) {
-          auto pm = std::make_unique<transforms::PassManager>();
-          transforms::buildPipeline(*pm, job->pipelineOpts_);
-          std::string key = pm->pipelineSpec();
-          auto it =
-              std::find_if(groups.begin(), groups.end(),
-                           [&](const Group &g) { return g.key == key; });
-          if (it == groups.end()) {
-            groups.push_back({std::move(key), std::move(pm), {}});
-            it = groups.end() - 1;
-          }
-          it->jobs.push_back(job);
-        }
+        it->jobs.push_back(job);
       }
-      // Every group runs against an identically configured PassManager
-      // (shared pool, shared cache). Instrumentation nesting mirrors the
-      // legacy runPipeline: custom hooks outermost, then analysis
-      // verify, then verify-each.
-      for (Group &group : groups) {
-        transforms::PassManager &pm = *group.pm;
-        pm.setThreadCount(opts_.threads);
-        pm.setThreadPool(pool_.get());
-        pm.setResultCache(cache_);
-        if (opts_.collectStatistics)
-          pm.enableStatistics();
-        if (opts_.configurePassManager)
-          opts_.configurePassManager(pm);
-        if (opts_.verifyAnalyses)
-          pm.enableAnalysisVerify();
-        if (opts_.verifyEach)
-          pm.enableVerifyEach();
-        if (opts_.collectTiming)
-          pm.enableTiming(&timing_);
-      }
-      if (opts_.verifyAnalyses || opts_.configurePassManager) {
-        // Per-module instrumentation observes one module at a time (see
-        // "Batch scheduling" in the header): the whole batch compiles
-        // serially, still sharing the session's pool and cache.
-        runFrontend(batch);
-        for (Group &group : groups)
-          compileGroupPerModule(*group.pm, group.jobs);
-      } else {
-        // Every group's graph goes onto one scheduler: parse/keying
-        // leaves and pass steps of all pipelines interleave freely, and
-        // each job is marked done the moment its own chain completes.
-        runtime::TaskScheduler sched(pool_.get());
-        std::vector<std::shared_ptr<transforms::BatchDag>> states;
-        for (Group &group : groups) {
-          transforms::PassManager &pm = *group.pm;
-          std::vector<transforms::PassManager::BatchItem> items;
-          for (CompileJob *job : group.jobs) {
-            transforms::PassManager::BatchItem item;
-            item.diag = &job->diag_;
-            if (job->preparsed_)
-              item.module = job->result_.module.op();
-            else
-              item.prepare = [this, job]() -> std::optional<ir::ModuleOp> {
-                runFrontendOne(*job);
-                if (!job->frontendOk_)
-                  return std::nullopt;
-                return job->result_.module.get();
-              };
-            items.push_back(std::move(item));
-          }
-          transforms::PassManager::BatchOptions bo;
-          bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
-          for (CompileJob *job : group.jobs)
-            bo.cancels.push_back(&job->cancel_);
-          transforms::PassManager *pmPtr = &pm;
-          std::vector<CompileJob *> groupJobs = group.jobs;
-          bo.onModuleDone = [this, pmPtr, groupJobs](size_t idx, bool ok) {
-            CompileJob *job = groupJobs[idx];
-            {
-              trace::TraceSpan span(trace::enabled()
-                                        ? "finalize:" + job->name_
-                                        : std::string(),
-                                    "session");
-              ok = finalVerify(*pmPtr, job->result_.module.get(),
-                               job->diag_, ok);
-            }
-            markDone(*job, ok);
-          };
-          states.push_back(
-              pm.scheduleBatch(sched, std::move(items), std::move(bo)));
-        }
-        sched.run();
-        // Containment sweep: a task chain severed mid-batch (an
-        // exception contained by the scheduler's worker loop, e.g. an
-        // injected "scheduler.task" fault) leaves its job un-resolved
-        // even though run() drained. Every future must resolve, so any
-        // job still not Done here failed — attribute and mark it.
-        for (CompileJob *job : batch) {
-          bool done;
-          {
-            std::lock_guard<std::mutex> lock(mutex_);
-            done = job->state_ == CompileJob::State::Done;
-          }
-          if (!done) {
-            job->diag_.error(SourceLoc(),
-                             "compile task aborted before completion "
-                             "(exception contained by the scheduler)");
-            markDone(*job, false);
-          }
-        }
-        for (auto &state : states)
-          state->foldTiming();
-      }
-      // Retained only for statisticsStr(); a long-lived session that
-      // never reads statistics must not accumulate one PassManager per
-      // batch.
-      if (opts_.collectStatistics)
-        for (Group &group : groups)
-          pms_.push_back(std::move(group.pm));
     }
+    // Per-module instrumentation observes one module at a time (see
+    // "Batch scheduling" in the header): such batches drain on the
+    // calling thread, where each module's chain runs to completion, in
+    // job order, before the next module's leaf task starts.
+    bool oneModuleAtATime =
+        opts_.verifyAnalyses || bool(opts_.configurePassManager);
+    runtime::TaskScheduler sched(oneModuleAtATime ? nullptr : pool_.get());
+    // Every group's graph goes onto the one scheduler: parse/keying
+    // leaves and pass steps of all pipelines interleave freely, and each
+    // job is marked done the moment its own chain completes.
+    std::vector<std::shared_ptr<transforms::BatchDag>> states;
+    for (Group &group : groups) {
+      // Instrumentation nesting: custom hooks outermost, then analysis
+      // verify, then verify-each.
+      transforms::PassManager &pm = *group.pm;
+      pm.setResultCache(cache_);
+      if (opts_.collectStatistics)
+        pm.enableStatistics();
+      if (opts_.configurePassManager)
+        opts_.configurePassManager(pm);
+      if (opts_.verifyAnalyses)
+        pm.enableAnalysisVerify();
+      if (opts_.verifyEach)
+        pm.enableVerifyEach();
+      if (opts_.collectTiming)
+        pm.enableTiming(&timing_);
+
+      std::vector<transforms::PassManager::BatchItem> items;
+      for (CompileJob *job : group.jobs) {
+        transforms::PassManager::BatchItem item;
+        item.diag = &job->diag_;
+        if (job->preparsed_)
+          item.module = job->result_.module.op();
+        else
+          item.prepare = [this, job]() -> std::optional<ir::ModuleOp> {
+            if (!runFrontendOne(*job))
+              return std::nullopt;
+            return job->result_.module.get();
+          };
+        items.push_back(std::move(item));
+      }
+      transforms::PassManager::BatchOptions bo;
+      bo.maxArenaBytes = opts_.maxArenaBytesPerModule;
+      for (CompileJob *job : group.jobs)
+        bo.cancels.push_back(&job->cancel_);
+      transforms::PassManager *pmPtr = &pm;
+      std::vector<CompileJob *> groupJobs = group.jobs;
+      bo.onModuleDone = [this, pmPtr, groupJobs](size_t idx, bool ok) {
+        CompileJob *job = groupJobs[idx];
+        {
+          trace::TraceSpan span(trace::enabled() ? "finalize:" + job->name_
+                                                 : std::string(),
+                                "session");
+          ok = finalVerify(*pmPtr, job->result_.module.get(), job->diag_,
+                           ok);
+        }
+        markDone(*job, ok);
+      };
+      states.push_back(
+          pm.scheduleBatch(sched, std::move(items), std::move(bo)));
+    }
+    sched.run();
+    // Containment sweep: a task chain severed mid-batch (an exception
+    // contained by the scheduler's worker loop, e.g. an injected
+    // "scheduler.task" fault) leaves its job un-resolved even though
+    // run() drained. Every future must resolve, so any job still not
+    // Done here failed — attribute and mark it.
+    for (CompileJob *job : batch) {
+      bool done;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done = job->state_ == CompileJob::State::Done;
+      }
+      if (!done) {
+        job->diag_.error(SourceLoc(),
+                         "compile task aborted before completion "
+                         "(exception contained by the scheduler)");
+        markDone(*job, false);
+      }
+    }
+    for (auto &state : states)
+      state->foldTiming();
+    // Retained only for statisticsStr(); a long-lived session that never
+    // reads statistics must not accumulate one PassManager per batch.
+    if (opts_.collectStatistics)
+      for (Group &group : groups)
+        pms_.push_back(std::move(group.pm));
   }
   // Keep a long-lived session within its disk budget between batches:
   // without this, --cache-limit only bound the store at session shutdown

@@ -22,35 +22,38 @@
 //   driver::Executor exec(a.result().module.get(), 8);
 //
 // One session compiles N modules against one cache concurrently and
-// amortizes worker startup across every compile; the legacy
-// driver::compile free functions survive as one-shot wrappers over a
+// amortizes worker startup across every compile; the driver::compile and
+// driver::compileForSimt free functions are one-shot wrappers over a
 // temporary session (driver/compiler.h).
 //
 // Batch scheduling
 // ----------------
-// Every compile runs through one executor, the PassManager's dependency
-// DAG (transforms::BatchDag): each module becomes a chain of tasks on a
-// work-stealing scheduler over the session pool — a leaf task that
-// parses the source and keys its functions (ir::hashOp), then one task
+// Every job, in every configuration, compiles through one path: the
+// PassManager's dependency DAG (transforms::BatchDag), one batch per
+// compileAll. The SIMT oracle's frontend view is no special case either: it
+// is the one-pass pipelineSpec "inline-kernels". Each module becomes a chain
+// of tasks on a work-stealing scheduler over the session pool — a leaf task
+// that parses the source and keys its functions (ir::hashOp), then one task
 // per (module, pass) step, with fan-out per function inside a step when
-// several functions miss the cache. The only edges are each module's
-// own pipeline order, so module B's kernels run pass 3 while module A is
-// still parsing, and each CompileJob future resolves the moment *its*
-// module's last pass (or terminal cache splice) completes rather than at
-// end of batch. In-batch dedup of identical kernels flows through the
-// shared cache's in-flight registry: the first claimant executes,
-// concurrent duplicates park and replay its stored entry. Pass execution
-// is deterministic per input, so outputs are bit-for-bit identical to
-// serial compiles at any thread count. Under --timing, per-worker clocks
-// are folded by (module, pass), so the report attributes true per-module
-// per-pass time.
+// several functions miss the cache. The only edges are each module's own
+// pipeline order, so module B's kernels run pass 3 while module A is still
+// parsing, and each CompileJob future resolves the moment *its* module's
+// last pass (or terminal cache splice) completes rather than at end of
+// batch. In-batch dedup of identical kernels flows through the shared
+// cache's in-flight registry: the first claimant executes, concurrent
+// duplicates park and replay its stored entry. Pass execution is
+// deterministic per input, so outputs are bit-for-bit identical to serial
+// compiles at any thread count. Under --timing, per-worker clocks are folded
+// by (module, pass), so the report attributes true per-module per-pass time.
 //
-// Jobs with per-module instrumentation (verifyAnalyses,
-// configurePassManager) compile one at a time, each as a DAG batch of
-// one (PassManager::run): the analysis cross-checker resets the shared
+// With per-module instrumentation (verifyAnalyses, configurePassManager)
+// the same batch drains on the calling thread instead of the pool: on
+// one worker each module's chain runs to completion, in job order,
+// before the next module's leaf task starts, so the hooks observe one
+// module at a time. (The analysis cross-checker resets the shared
 // AnalysisManager after every pass, which is only sound while a single
-// module is in flight. They still share the pool and cache, and get the
-// same per-step cancellation, deadline, and arena-cap checks.
+// module is in flight.) Such batches share the cache and get the same
+// per-step cancellation, deadline, and arena-cap checks.
 //
 // Memory
 // ------
@@ -179,16 +182,9 @@ struct CompileResult {
   bool ok = false;
 };
 
-/// What a session's compiles produce. Optimize runs the full pipeline
-/// (driver::compile); Simt runs frontend + device-function inlining only,
-/// for the lockstep SIMT reference executor (driver::compileForSimt).
-enum class SessionMode { Optimize, Simt };
-
 class CompileJob;
 
 struct SessionOptions {
-  SessionMode mode = SessionMode::Optimize;
-
   /// Workers in the session's shared pool; >1 runs the batch's parse
   /// and pass steps (and per-function fan-out) in parallel. 1 disables
   /// the pool entirely.
@@ -198,7 +194,8 @@ struct SessionOptions {
   /// pass; a broken module fails alone (job-level isolation).
   bool verifyEach = false;
   /// Cross-check every pass's PreservedAnalyses declaration by
-  /// recomputation. Expensive; forces the per-module compile path.
+  /// recomputation. Expensive; the batch drains on the calling thread,
+  /// one module at a time (see "Batch scheduling").
   bool verifyAnalyses = false;
   /// Record per-pass wall-clock + IR-arena growth into timingReport().
   bool collectTiming = false;
@@ -237,14 +234,17 @@ struct SessionOptions {
   /// When set: run this textual pipeline (registry syntax, e.g.
   /// "inline,repeat(canonicalize,cse),cpuify") instead of the standard
   /// buildPipeline over each job's PipelineOptions. An *empty* spec is a
-  /// valid zero-pass pipeline (paralift-opt's round-trip mode). Ignored
-  /// in Simt mode.
+  /// valid zero-pass pipeline (paralift-opt's round-trip mode);
+  /// "inline-kernels" is the SIMT oracle's frontend view
+  /// (driver::compileForSimt).
   std::optional<std::string> pipelineSpec;
 
-  /// Called on every PassManager the session builds, after standard
-  /// configuration — the hook for bespoke instrumentation (paralift-opt's
-  /// --print-ir-before/after). Setting it compiles jobs one at a time,
-  /// so the hooks observe one module at a time.
+  /// Called on every PassManager the session builds, before the
+  /// analysis-verify, verify-each and timing hooks are installed — the
+  /// hook for bespoke instrumentation (paralift-opt's
+  /// --print-ir-before/after). Setting it drains the batch on the
+  /// calling thread, so the hooks observe one module at a time, in job
+  /// order (see "Batch scheduling").
   std::function<void(transforms::PassManager &)> configurePassManager;
 
   /// Invoked the moment each job's compile finishes (after its future
@@ -329,7 +329,6 @@ private:
   transforms::CancellationToken cancel_;
   DiagnosticEngine diag_;
   CompileResult result_;
-  bool frontendOk_ = false;
   double latencySeconds_ = -1;
   State state_ = State::Queued;
 };
@@ -355,9 +354,9 @@ public:
 
   /// Compiles every job still queued: every pipeline group's DAG batch
   /// on one scheduler over the pool (see "Batch scheduling" above and
-  /// PassManager::scheduleBatch). Jobs with per-module instrumentation
-  /// needs (verifyAnalyses, configurePassManager) compile one at a time,
-  /// still sharing the pool and cache. Already-compiled jobs are not
+  /// PassManager::scheduleBatch). With per-module instrumentation
+  /// (verifyAnalyses, configurePassManager) the scheduler drains on the
+  /// calling thread, one module at a time. Already-compiled jobs are not
   /// recompiled (a second compileAll is a no-op for them). Returns
   /// whether every job in the session has compiled successfully.
   bool compileAll();
@@ -388,8 +387,6 @@ public:
   /// The session's pass-result cache (however it was resolved); null
   /// when caching is off.
   transforms::PassResultCache *cache() const { return cache_; }
-  /// The shared worker pool; null when threads == 1.
-  runtime::ThreadPool *pool() const { return pool_.get(); }
   const SessionOptions &options() const { return opts_; }
 
 private:
@@ -398,22 +395,16 @@ private:
   /// Jobs to compile in this batch (flips them to Compiling).
   std::vector<CompileJob *> takeQueued();
   void markDone(CompileJob &job, bool ok);
-  /// Frontend for one job: parse + (in Optimize mode) IR verification.
-  /// Thread-safe across distinct jobs; the DAG runs it as each module's
-  /// leaf task.
-  void runFrontendOne(CompileJob &job);
-  void runFrontend(const std::vector<CompileJob *> &jobs);
-  void compileSimt(const std::vector<CompileJob *> &jobs);
-  /// End-of-pipeline verification gate shared by both compile paths:
-  /// skipped when verify-each already covered the final module (any
-  /// non-empty pipeline); otherwise reports "final module is invalid"
-  /// into `diag`. Returns the updated ok.
+  /// Frontend for one job: parse + IR verification; false (with the
+  /// reason in the job's diagnostics) when either fails. Thread-safe
+  /// across distinct jobs; the DAG runs it as each module's leaf task.
+  bool runFrontendOne(CompileJob &job);
+  /// End-of-pipeline verification gate, run as each module's chain
+  /// completes: skipped when verify-each already covered the final
+  /// module (any non-empty pipeline); otherwise reports "final module is
+  /// invalid" into `diag`. Returns the updated ok.
   bool finalVerify(const transforms::PassManager &pm, ir::ModuleOp module,
                    DiagnosticEngine &diag, bool ok) const;
-  /// The instrumented path: each job of `group` compiles alone, as a DAG
-  /// batch of one carrying its cancellation token and the arena cap.
-  void compileGroupPerModule(transforms::PassManager &pm,
-                             const std::vector<CompileJob *> &group);
 
   SessionOptions opts_;
   std::unique_ptr<runtime::ThreadPool> pool_;

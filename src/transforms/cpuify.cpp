@@ -18,12 +18,9 @@
 #include "ir/builder.h"
 #include "ir/ophelpers.h"
 #include "ir/verifier.h"
-#include "ir/printer.h"
 #include "transforms/mincut.h"
 #include "transforms/passes.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -67,7 +64,6 @@ public:
       : root_(root), useMinCut_(useMinCut), diag_(diag) {}
 
   bool run() {
-    const bool debug = std::getenv("PARALIFT_DEBUG_CPUIFY") != nullptr;
     for (int iter = 0; iter < 10000; ++iter) {
       Op *barrier = findAnyBarrier();
       if (!barrier)
@@ -77,10 +73,6 @@ public:
         diag_.error(barrier->loc(), "barrier outside thread-parallel loop");
         return false;
       }
-      if (debug && iter < 40)
-        std::fprintf(stderr, "cpuify iter %d:\n%s\n", iter,
-                     ir::printOp(getEnclosing(threadPar, OpKind::Func))
-                         .c_str());
       if (!step(threadPar))
         return false;
     }
@@ -103,11 +95,8 @@ private:
     Block &body = threadPar->region(0).front();
     // Case 1: a top-level barrier -> fission at the first one.
     for (Op *op : body)
-      if (op->kind() == OpKind::Barrier) {
-        if (std::getenv("PARALIFT_DEBUG_CPUIFY"))
-          std::fprintf(stderr, "action: fission\n");
+      if (op->kind() == OpKind::Barrier)
         return fission(threadPar, op);
-      }
 
     // Case 2: some top-level op contains a barrier.
     Op *container = nullptr;
@@ -143,9 +132,6 @@ private:
     bool hasSuffix = container->next() != body.terminator();
 
     if (prefixImpure || hasSuffix) {
-      if (std::getenv("PARALIFT_DEBUG_CPUIFY"))
-        std::fprintf(stderr, "action: insert barriers around %s (pre=%d suf=%d)\n",
-                     opKindName(container->kind()), (int)prefixImpure, (int)hasSuffix);
       // Adding barriers is always legal in our model; fission will then
       // isolate the container.
       Builder b;
@@ -160,8 +146,6 @@ private:
       return true; // next iteration performs the fission
     }
 
-    if (std::getenv("PARALIFT_DEBUG_CPUIFY"))
-      std::fprintf(stderr, "action: interchange %s\n", opKindName(container->kind()));
     switch (container->kind()) {
     case OpKind::ScfFor:
       return interchangeFor(threadPar, container);

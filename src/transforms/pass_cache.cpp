@@ -194,51 +194,14 @@ std::string PassResultCache::keyFile(const Hash128 &key) const {
   return dir_ + "/" + key.hex() + ".pir";
 }
 
-std::optional<PassResultCache::Entry>
-PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
-  Hash128 key = keyHash(input, spec);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      cacheCounters().hits.add();
-      return it->second;
-    }
-  }
-  // Disk I/O happens outside the lock so --pm-threads workers hitting
-  // memory entries never queue behind a file read.
-  if (diskEnabled()) {
-    if (auto fromDisk = loadFromDisk(key, input, spec)) {
-      // Refresh the entry's mtime: the eviction sweep is LRU-by-mtime,
-      // and a disk hit is a use. (Memory hits were either stored or
-      // disk-promoted by this process, so their files are recent
-      // already — recency holds at process granularity.)
-      std::error_code ec;
-      std::filesystem::last_write_time(
-          keyFile(key), std::filesystem::file_time_type::clock::now(), ec);
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-      ++stats_.diskHits;
-      cacheCounters().hits.add();
-      cacheCounters().diskHits.add();
-      entries_.emplace(key, *fromDisk);
-      return fromDisk;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  cacheCounters().misses.add();
-  return std::nullopt;
-}
-
 PassResultCache::AcquireResult
 PassResultCache::acquire(const Hash128 &input, const std::string &spec,
                          std::function<void()> onReady) {
   Hash128 key = keyHash(input, spec);
   AcquireResult out;
-  // The lookup half mirrors lookup() — memory probe, disk probe outside
-  // the lock — but the claim half re-checks memory under the same lock
+  // The lookup half probes memory under the lock, then disk outside it
+  // (so --pm-threads workers hitting memory entries never queue behind a
+  // file read); the claim half re-checks memory under the same lock
   // that owns inflight_, so an owner finishing between the two halves is
   // observed as either its stored entry or a free key, never missed. A
   // key already in flight short-circuits before the disk probe: its
@@ -267,6 +230,10 @@ PassResultCache::acquire(const Hash128 &input, const std::string &spec,
   }
   if (diskEnabled()) {
     if (auto fromDisk = loadFromDisk(key, input, spec)) {
+      // Refresh the entry's mtime: the eviction sweep is LRU-by-mtime,
+      // and a disk hit is a use. (Memory hits were either stored or
+      // disk-promoted by this process, so their files are recent
+      // already — recency holds at process granularity.)
       std::error_code ec;
       std::filesystem::last_write_time(
           keyFile(key), std::filesystem::file_time_type::clock::now(), ec);

@@ -80,11 +80,6 @@ public:
     std::vector<Hash128> funcHashes;
   };
 
-  /// Finds the result of running `spec` on IR whose structural hash is
-  /// `input`. Checks memory first, then disk; disk hits are promoted into
-  /// memory. Returns nullopt on miss (and counts it).
-  std::optional<Entry> lookup(const Hash128 &input, const std::string &spec);
-
   /// Records a pass result. Overwrites any existing entry for the key
   /// (same key implies same value for deterministic passes).
   void store(const Hash128 &input, const std::string &spec, Entry entry);
@@ -122,7 +117,9 @@ public:
     AcquireState state = AcquireState::Busy;
     std::optional<Entry> entry; ///< set for Hit
   };
-  /// Atomic lookup-or-claim. Hit returns the entry like lookup() (and
+  /// Atomic lookup-or-claim: finds the result of running `spec` on IR
+  /// whose structural hash is `input`, checking memory first, then disk
+  /// (disk hits are promoted into memory). Hit returns the entry (and
   /// counts a hit); Owned claims the key for the caller, which must call
   /// finishCompute(input, spec) exactly once, whether or not it stored a
   /// result (counts a miss); Busy means the key is in flight elsewhere —

@@ -706,28 +706,22 @@ bool PassManager::spliceModule(ModuleOp module,
   return true;
 }
 
-runtime::ThreadPool *PassManager::acquirePool(
-    std::unique_ptr<runtime::ThreadPool> &owned, bool wantPool) {
-  if (!wantPool || threads_ <= 1 || runtime::ThreadPool::insideParallel())
-    return nullptr;
-  if (externalPool_)
-    return externalPool_;
-  owned = std::make_unique<runtime::ThreadPool>(threads_);
-  return owned.get();
-}
-
-bool PassManager::run(ModuleOp module, DiagnosticEngine &diag,
-                      BatchOptions opts) {
-  std::unique_ptr<runtime::ThreadPool> owned;
+bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
+  // A pool only pays off when some function pass can fan out; inside a
+  // parallel region the scheduler drains on the calling thread anyway.
+  std::unique_ptr<runtime::ThreadPool> pool;
   bool anyFunctionPass =
       std::any_of(passes_.begin(), passes_.end(),
                   [](const auto &p) { return p->isFunctionPass(); });
-  runtime::TaskScheduler sched(acquirePool(owned, anyFunctionPass));
+  if (threads_ > 1 && anyFunctionPass &&
+      !runtime::ThreadPool::insideParallel())
+    pool = std::make_unique<runtime::ThreadPool>(threads_);
+  runtime::TaskScheduler sched(pool.get());
   std::vector<BatchItem> items(1);
   items[0].module = module.op;
   items[0].diag = &diag;
   std::shared_ptr<BatchDag> dag =
-      scheduleBatch(sched, std::move(items), std::move(opts));
+      scheduleBatch(sched, std::move(items), BatchOptions());
   sched.run();
   dag->foldTiming();
   if (!dag->finished(0))

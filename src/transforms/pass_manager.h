@@ -43,7 +43,6 @@
 
 namespace paralift::runtime {
 class TaskScheduler;
-class ThreadPool;
 }
 
 namespace paralift::transforms {
@@ -392,8 +391,8 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Cooperative cancellation and deadline for one compile job. The DAG
-/// executor (scheduleBatch, and run() as a batch of one) polls it at
-/// step boundaries — an expired job fails with an attributed diagnostic
+/// executor (scheduleBatch, via BatchOptions::cancels) polls it at step
+/// boundaries — an expired job fails with an attributed diagnostic
 /// ("cancelled ..." / "deadline exceeded after Ns in pass P") before its
 /// next pass starts; the pass currently executing is never interrupted
 /// mid-flight, so IR and cache state stay consistent. Thread-safe: any
@@ -476,18 +475,12 @@ public:
   PassResultCache *resultCache() const { return cache_; }
 
   /// Number of threads run() schedules its steps on (function passes fan
-  /// out across functions). 1 (the default) drains every step on the
-  /// calling thread.
+  /// out across functions); above 1, run() builds its own pool for the
+  /// call. 1 (the default) drains every step on the calling thread.
   void setThreadCount(unsigned n) { threads_ = n == 0 ? 1 : n; }
   unsigned threadCount() const { return threads_; }
 
-  /// Uses an externally owned worker pool for run() instead of creating
-  /// one per run — the CompilerSession layer shares a single pool across
-  /// every compile it drives, amortizing worker startup.
-  /// setThreadCount(>1) still gates whether the pool is used.
-  void setThreadPool(runtime::ThreadPool *pool) { externalPool_ = pool; }
-
-  /// Knobs for a DAG batch (scheduleBatch, and run() as a batch of one).
+  /// Knobs for a DAG batch (scheduleBatch).
   /// Instrumentations installed via enable*/addInstrumentation wrap every
   /// step of every module in the batch.
   struct BatchOptions {
@@ -509,16 +502,11 @@ public:
   };
 
   /// Runs every pass in order over `module`: scheduleBatch over this one
-  /// pre-parsed module on a TaskScheduler wrapping the pool (the
-  /// setThreadPool pool, or a fresh one, when threadCount() > 1; none at
-  /// 1, where the calling thread drains every step). Stops at the first
-  /// failure (a pass returning false, a new diagnostic error, an
-  /// instrumentation abort, or an expired opts.cancels[0] token / breached
-  /// arena cap) and returns false.
-  bool run(ModuleOp module, DiagnosticEngine &diag) {
-    return run(module, diag, BatchOptions());
-  }
-  bool run(ModuleOp module, DiagnosticEngine &diag, BatchOptions opts);
+  /// pre-parsed module on a TaskScheduler wrapping a fresh pool when
+  /// threadCount() > 1 (none at 1, where the calling thread drains every
+  /// step). Stops at the first failure (a pass returning false, a new
+  /// diagnostic error, or an instrumentation abort) and returns false.
+  bool run(ModuleOp module, DiagnosticEngine &diag);
 
   /// One module of a DAG batch (scheduleBatch). Either `module` is a
   /// live module op, or `prepare` produces one as a leaf task of the
@@ -601,12 +589,6 @@ private:
   bool spliceModule(ModuleOp module, const PassResultCache::Entry &entry,
                     CacheState &st);
 
-  /// The pool run() schedules on: the external pool when set, else a
-  /// fresh one parked in `owned`. Null when threads_ == 1, when called
-  /// from inside a parallel region, or when `wantPool` is false.
-  runtime::ThreadPool *acquirePool(std::unique_ptr<runtime::ThreadPool> &owned,
-                                   bool wantPool);
-
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
   unsigned threads_ = 1;
@@ -614,7 +596,6 @@ private:
   AnalysisManager analysisManager_;
   PassResultCache *cache_ = nullptr;
   PassTimingReport *timing_ = nullptr;
-  runtime::ThreadPool *externalPool_ = nullptr;
 };
 
 //===----------------------------------------------------------------------===//

@@ -24,10 +24,11 @@
 //   run => preserved everything"), so e.g. barrier results computed once
 //   survive the canonicalize/cse pairs instead of being recomputed per
 //   stage. Declarations are cross-checked by recomputation under
-//   PassRunConfig::verifyAnalyses / --verify-analyses.
+//   PassManager::enableAnalysisVerify (SessionOptions::verifyAnalyses,
+//   --verify-analyses).
 //
-//   Independently, a PassResultCache (PassRunConfig::cache, --cache-dir)
-//   keys every pass execution on (canonical pass spec, hash of the
+//   Independently, a PassResultCache (PassManager::setResultCache; the
+//   session's cache options, --cache-dir) keys every pass execution on (canonical pass spec, hash of the
 //   function's printed IR) and replays cached output IR for hits:
 //   recompiling an unchanged kernel through an unchanged pipeline prefix
 //   executes zero transform passes, and ablation sweeps whose stages
@@ -168,33 +169,15 @@ std::unique_ptr<Pass> createOmpLowerPass(const OmpLowerOptions &opts = {});
 
 // Pipeline -------------------------------------------------------------------
 
-/// Execution knobs for one pipeline run, orthogonal to *what* runs
-/// (PipelineOptions) — instrumentation, scheduling, and caching only.
-struct PassRunConfig {
-  /// Per-pass wall-clock + IR-arena records land here when non-null.
-  PassTimingReport *timing = nullptr;
-  /// Verify after every pass, attributing breakage to the pass.
-  bool verifyEach = false;
-  /// Cross-check every pass's PreservedAnalyses declaration by
-  /// recomputation (expensive; validation runs only).
-  bool verifyAnalyses = false;
-  /// Threads used to fan function passes out across kernels (1 = serial).
-  unsigned threads = 1;
-  /// Pass-result cache (owned by the caller, shareable across compiles
-  /// and threads); null disables caching.
-  PassResultCache *cache = nullptr;
-};
-
 /// Appends the full compilation pipeline per `opts` to `pm`, declaratively.
 void buildPipeline(PassManager &pm, const PipelineOptions &opts);
 
-/// Full pipeline per PipelineOptions. Returns false if a hard error was
-/// reported (e.g. non-uniform barrier condition).
+/// Full pipeline per PipelineOptions on the calling thread, uncached and
+/// uninstrumented; then verifies the result. Returns false if a hard
+/// error was reported (e.g. non-uniform barrier condition) or the final
+/// module is invalid. Instrumented, threaded, or cached compiles go
+/// through driver::CompilerSession (SessionOptions).
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag);
-
-/// As above with instrumentation/scheduling knobs.
-bool runPipeline(ModuleOp module, const PipelineOptions &opts,
-                 DiagnosticEngine &diag, const PassRunConfig &config);
 
 } // namespace paralift::transforms

@@ -1,8 +1,9 @@
 // The full compilation pipeline, assembled declaratively from
 // PipelineOptions into a PassManager (see passes.h for the stage
 // diagram). The pass sequence reproduces the paper's pipeline exactly;
-// PassRunConfig adds orthogonal instrumentation (per-pass timing,
-// verify-after-each-pass) and parallel per-kernel scheduling.
+// instrumentation (per-pass timing, verify-after-each-pass), parallel
+// per-kernel scheduling and caching are configured on the PassManager,
+// or on a driver::CompilerSession through SessionOptions.
 #include "ir/verifier.h"
 #include "transforms/passes.h"
 
@@ -78,27 +79,10 @@ void buildPipeline(PassManager &pm, const PipelineOptions &opts) {
 }
 
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
-                 DiagnosticEngine &diag, const PassRunConfig &config) {
+                 DiagnosticEngine &diag) {
   PassManager pm;
   buildPipeline(pm, opts);
-  if (config.verifyAnalyses)
-    pm.enableAnalysisVerify();
-  if (config.verifyEach)
-    pm.enableVerifyEach();
-  if (config.timing)
-    pm.enableTiming(config.timing);
-  pm.setThreadCount(config.threads);
-  pm.setResultCache(config.cache);
-  if (!pm.run(module, diag))
-    return false;
-  // With verify-each on, every intermediate module (including the final
-  // one) has already been verified.
-  return config.verifyEach || ir::verifyOk(module.op);
-}
-
-bool runPipeline(ModuleOp module, const PipelineOptions &opts,
-                 DiagnosticEngine &diag) {
-  return runPipeline(module, opts, diag, PassRunConfig{});
+  return pm.run(module, diag) && ir::verifyOk(module.op);
 }
 
 } // namespace paralift::transforms

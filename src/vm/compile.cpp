@@ -3,8 +3,6 @@
 #include "ir/verifier.h"
 #include "vm/verifier.h"
 
-#include <cstdlib>
-#include <string_view>
 #include <unordered_map>
 
 using namespace paralift::ir;
@@ -578,25 +576,16 @@ BCModule compileModule(ir::ModuleOp module) {
       fatalError("call to unknown function " + p.callee);
     out.fns[p.fnIdx].instrs[p.instr].imm = static_cast<int64_t>(it->second);
   }
-  // Self-check tripwire: bytecode we emit must always verify. Always on
-  // in debug builds; opt builds enable it with PARALIFT_VERIFY_BYTECODE=1
-  // (callers that need a proof token run the verifier themselves via
-  // VerifiedModule::create, so this gate is about catching compiler bugs
-  // at the point of emission, not about safety).
-#ifdef NDEBUG
-  static const bool verifyEmitted = [] {
-    const char *e = std::getenv("PARALIFT_VERIFY_BYTECODE");
-    return e && *e && std::string_view(e) != "0";
-  }();
-#else
-  constexpr bool verifyEmitted = true;
+  // Self-check tripwire in debug builds: bytecode we emit must always
+  // verify. Callers that need a proof token run the verifier themselves
+  // via VerifiedModule::create, so this gate is about catching compiler
+  // bugs at the point of emission, not about safety.
+#ifndef NDEBUG
+  VerifyResult r = verifyModule(out);
+  if (!r.ok())
+    fatalError("vm::compile emitted invalid bytecode (compiler bug):\n" +
+               r.str());
 #endif
-  if (verifyEmitted) {
-    VerifyResult r = verifyModule(out);
-    if (!r.ok())
-      fatalError("vm::compile emitted invalid bytecode (compiler bug):\n" +
-                 r.str());
-  }
   return out;
 }
 

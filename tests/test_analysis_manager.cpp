@@ -337,33 +337,33 @@ TEST(AnalysisVerifyTest, HonestPipelinePasses) {
 // declared PreservedAnalyses across the full Rodinia suite, in every
 // pipeline mode the ablation sweep uses (no stale-analysis divergence).
 TEST(AnalysisVerifyTest, RodiniaSuiteFullOpts) {
-  transforms::PassRunConfig config;
-  config.verifyAnalyses = true;
+  driver::SessionOptions so;
+  so.verifyAnalyses = true;
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine diag;
-    auto cc = driver::compile(b.cudaSource, PipelineOptions{}, diag, config);
+    auto cc = driver::compile(b.cudaSource, PipelineOptions{}, diag, so);
     EXPECT_TRUE(cc.ok) << b.id << ": " << diag.str();
   }
 }
 
 TEST(AnalysisVerifyTest, RodiniaSuiteOptDisabled) {
-  transforms::PassRunConfig config;
-  config.verifyAnalyses = true;
+  driver::SessionOptions so;
+  so.verifyAnalyses = true;
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine diag;
     auto cc = driver::compile(b.cudaSource, PipelineOptions::optDisabled(),
-                              diag, config);
+                              diag, so);
     EXPECT_TRUE(cc.ok) << b.id << ": " << diag.str();
   }
 }
 
 TEST(AnalysisVerifyTest, RodiniaSuiteMcuda) {
-  transforms::PassRunConfig config;
-  config.verifyAnalyses = true;
+  driver::SessionOptions so;
+  so.verifyAnalyses = true;
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine diag;
     auto cc = driver::compile(b.cudaSource, PipelineOptions::mcuda(), diag,
-                              config);
+                              so);
     EXPECT_TRUE(cc.ok) << b.id << ": " << diag.str();
   }
 }

@@ -50,9 +50,9 @@ driver::SessionOptions batchOptions(unsigned threads,
 std::string serialReference(const std::string &source,
                             const PipelineOptions &opts = {}) {
   DiagnosticEngine diag;
-  transforms::PassRunConfig config;
-  config.cache = nullptr;
-  auto cc = driver::compile(source, opts, diag, config);
+  driver::SessionOptions so;
+  so.useEnvCache = false;
+  auto cc = driver::compile(source, opts, diag, std::move(so));
   EXPECT_TRUE(cc.ok) << diag.str();
   return ir::printOp(cc.module.op());
 }

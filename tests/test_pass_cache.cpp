@@ -143,16 +143,16 @@ TEST(PassCacheTest, ReplayMatchesUncachedAcrossRodinia) {
     ASSERT_TRUE(uncached.ok) << b.id << ": " << d0.str();
 
     PassResultCache cache;
-    transforms::PassRunConfig config;
-    config.cache = &cache;
+    driver::SessionOptions so;
+    so.cache = &cache;
     DiagnosticEngine d1;
-    auto warm = driver::compile(b.cudaSource, PipelineOptions{}, d1, config);
+    auto warm = driver::compile(b.cudaSource, PipelineOptions{}, d1, so);
     ASSERT_TRUE(warm.ok) << b.id << ": " << d1.str();
     uint64_t executedCold = cache.stats().passesExecuted;
 
     DiagnosticEngine d2;
     auto replayed =
-        driver::compile(b.cudaSource, PipelineOptions{}, d2, config);
+        driver::compile(b.cudaSource, PipelineOptions{}, d2, so);
     ASSERT_TRUE(replayed.ok) << b.id << ": " << d2.str();
 
     EXPECT_EQ(printOp(uncached.module.op()), printOp(replayed.module.op()))
@@ -391,14 +391,14 @@ TEST(PassCacheTest, ThreadSafeUnderPmThreads) {
 
   std::string dir = tempDir("threads");
   PassResultCache cache(dir);
-  transforms::PassRunConfig config;
-  config.cache = &cache;
-  config.threads = 4;
+  driver::SessionOptions so;
+  so.cache = &cache;
+  so.threads = 4;
   // Cold populate and warm replay, both under parallel scheduling, both
   // IR-identical to the serial uncached compile.
   for (int round = 0; round < 2; ++round) {
     DiagnosticEngine diag;
-    auto cc = driver::compile(src, PipelineOptions{}, diag, config);
+    auto cc = driver::compile(src, PipelineOptions{}, diag, so);
     ASSERT_TRUE(cc.ok) << diag.str();
     EXPECT_EQ(printOp(cc.module.op()), golden) << "round " << round;
   }

@@ -493,9 +493,9 @@ TEST(ParallelSchedulingTest, ThreadedRunMatchesSerial) {
   std::string src = manyKernelSource();
   auto compileWith = [&](unsigned threads) {
     DiagnosticEngine diag;
-    PassRunConfig config;
-    config.threads = threads;
-    auto cc = driver::compile(src, PipelineOptions{}, diag, config);
+    driver::SessionOptions so;
+    so.threads = threads;
+    auto cc = driver::compile(src, PipelineOptions{}, diag, std::move(so));
     EXPECT_TRUE(cc.ok) << diag.str();
     return printOp(cc.module.op());
   };
@@ -632,9 +632,6 @@ TEST(PipelineEquivalenceTest, RodiniaSuiteMcuda) {
 }
 
 TEST(PipelineEquivalenceTest, ParallelSchedulingMatchesLegacy) {
-  PassRunConfig config;
-  config.threads = 4;
-  config.verifyEach = true;
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine d1;
     OwnedModule legacy = frontend::compileToIR(b.cudaSource, d1);
@@ -644,7 +641,12 @@ TEST(PipelineEquivalenceTest, ParallelSchedulingMatchesLegacy) {
     DiagnosticEngine d2;
     OwnedModule fresh = frontend::compileToIR(b.cudaSource, d2);
     ASSERT_FALSE(d2.hasErrors()) << b.id << ": " << d2.str();
-    bool newOk = runPipeline(fresh.get(), PipelineOptions{}, d2, config);
+    // 4-thread run with verify-each, which also covers the final module.
+    PassManager pm;
+    buildPipeline(pm, PipelineOptions{});
+    pm.setThreadCount(4);
+    pm.enableVerifyEach();
+    bool newOk = pm.run(fresh.get(), d2);
 
     EXPECT_EQ(legacyOk, newOk) << b.id << ": " << d1.str() << d2.str();
     EXPECT_EQ(printOp(legacy.op()), printOp(fresh.op())) << b.id;

@@ -2,9 +2,11 @@
 // and one shared cache are result-identical to serial one-shot compiles
 // (in every pipeline mode), job-level failure isolation (one bad module
 // doesn't poison the session), double-compileAll idempotence, async
-// futures, Simt mode parity with compileForSimt, per-module diagnostic
-// attribution, and shared-cache replay across sessions.
+// futures, the "inline-kernels" frontend view matching compileForSimt,
+// instrumented batches observing one module at a time, per-module
+// diagnostic attribution, and shared-cache replay across sessions.
 #include "driver/compiler.h"
+#include "frontend/irgen.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
@@ -12,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <mutex>
+#include <sstream>
 #include <unistd.h>
 
 using namespace paralift;
@@ -34,9 +41,9 @@ driver::SessionOptions batchOptions(unsigned threads,
 std::string serialReference(const std::string &source,
                             const PipelineOptions &opts) {
   DiagnosticEngine diag;
-  transforms::PassRunConfig config;
-  config.cache = nullptr;
-  auto cc = driver::compile(source, opts, diag, config);
+  driver::SessionOptions so;
+  so.useEnvCache = false;
+  auto cc = driver::compile(source, opts, diag, std::move(so));
   EXPECT_TRUE(cc.ok) << diag.str();
   return ir::printOp(cc.module.op());
 }
@@ -311,9 +318,12 @@ TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
 // Modes and attribution
 //===----------------------------------------------------------------------===//
 
-TEST(SessionTest, SimtModeMatchesCompileForSimt) {
+TEST(SessionTest, FrontendViewMatchesCompileForSimt) {
+  // The SIMT oracle's frontend view is the one-pass "inline-kernels"
+  // pipeline: a threaded batch on that spec and compileForSimt must both
+  // equal the frontend followed by kernel-only inlining.
   driver::SessionOptions so = batchOptions(2, nullptr);
-  so.mode = driver::SessionMode::Simt;
+  so.pipelineSpec = "inline-kernels";
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> jobs;
   for (const auto &b : rodinia::suite())
@@ -321,14 +331,105 @@ TEST(SessionTest, SimtModeMatchesCompileForSimt) {
   ASSERT_TRUE(session.compileAll());
   size_t i = 0;
   for (const auto &b : rodinia::suite()) {
+    DiagnosticEngine refDiag;
+    ir::OwnedModule ref = frontend::compileToIR(b.cudaSource, refDiag);
+    ASSERT_FALSE(refDiag.hasErrors()) << b.id << ": " << refDiag.str();
+    transforms::runInliner(ref.get(), /*onlyInKernels=*/true);
+    std::string expected = ir::printOp(ref.op());
+
     DiagnosticEngine diag;
-    auto ref = driver::compileForSimt(b.cudaSource, diag);
-    ASSERT_TRUE(ref.ok) << b.id << ": " << diag.str();
-    EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()),
-              ir::printOp(ref.module.op()))
-        << b.id;
+    auto simt = driver::compileForSimt(b.cudaSource, diag);
+    ASSERT_TRUE(simt.ok) << b.id << ": " << diag.str();
+    EXPECT_EQ(ir::printOp(simt.module.op()), expected) << b.id;
+    EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), expected) << b.id;
     ++i;
   }
+}
+
+TEST(SessionTest, InstrumentedBatchObservesOneModuleAtATime) {
+  // Per-module instrumentation (verifyAnalyses, configurePassManager)
+  // drains the batch on the calling thread even with a 4-thread pool:
+  // every hook sees one module at a time, modules in job order.
+  struct StepProbe : transforms::Instrumentation {
+    std::mutex *mu = nullptr;
+    std::vector<ir::Op *> *steps = nullptr;
+    void beforePass(const transforms::Pass &, ir::ModuleOp module) override {
+      std::lock_guard<std::mutex> lock(*mu);
+      steps->push_back(module.op);
+    }
+  };
+  auto tempFile = [](const std::string &tag) {
+    return (std::filesystem::temp_directory_path() /
+            ("paralift-session-test-" + tag + "-" +
+             std::to_string(::getpid()) + ".ir"))
+        .string();
+  };
+  auto readFile = [](const std::string &path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  const auto &suite = rodinia::suite();
+  ASSERT_GE(suite.size(), 4u);
+  std::mutex mu;
+  std::vector<ir::Op *> steps;
+  // Compiles `sources` in one session, printing the IR after every
+  // cpuify into `path`; the probe records each step's module.
+  auto compileInstrumented = [&](const std::vector<size_t> &sources,
+                                 unsigned threads, const std::string &path,
+                                 std::vector<ir::Op *> &modules) {
+    std::FILE *out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr) << path;
+    driver::SessionOptions so = batchOptions(threads, nullptr);
+    so.verifyAnalyses = true;
+    so.configurePassManager = [&](transforms::PassManager &pm) {
+      pm.enableIRPrinting(/*before=*/false, /*after=*/true, "cpuify", out);
+      auto probe = std::make_unique<StepProbe>();
+      probe->mu = &mu;
+      probe->steps = &steps;
+      pm.addInstrumentation(std::move(probe));
+    };
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs;
+    for (size_t k : sources)
+      jobs.push_back(&session.addSource(suite[k].id, suite[k].cudaSource));
+    bool ok = session.compileAll();
+    std::fclose(out);
+    ASSERT_TRUE(ok);
+    for (driver::CompileJob *job : jobs)
+      modules.push_back(job->result().module.op());
+  };
+
+  std::string expected;
+  for (size_t k = 0; k < 4; ++k) {
+    std::string path = tempFile("single" + std::to_string(k));
+    std::vector<ir::Op *> modules;
+    compileInstrumented({k}, 1, path, modules);
+    expected += readFile(path);
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(expected.empty());
+
+  steps.clear();
+  std::string path = tempFile("batch");
+  std::vector<ir::Op *> modules;
+  compileInstrumented({0, 1, 2, 3}, 4, path, modules);
+  EXPECT_EQ(readFile(path), expected);
+  std::remove(path.c_str());
+
+  // Every step of module i precedes every step of module i+1.
+  ASSERT_EQ(modules.size(), 4u);
+  std::vector<size_t> order;
+  for (ir::Op *m : steps) {
+    auto it = std::find(modules.begin(), modules.end(), m);
+    ASSERT_NE(it, modules.end());
+    order.push_back(static_cast<size_t>(it - modules.begin()));
+  }
+  ASSERT_FALSE(order.empty());
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  for (size_t k = 0; k < 4; ++k)
+    EXPECT_NE(std::find(order.begin(), order.end(), k), order.end()) << k;
 }
 
 TEST(SessionTest, DiagnosticsCarryModuleName) {
