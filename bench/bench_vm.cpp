@@ -7,9 +7,11 @@
 //               configuration driver::Executor and e2ebench run
 //   unchecked - boundsCheck off: the trusted-data fast path
 //
-// Plus a one-time cost row: verifying the whole suite's bytecode, and the
-// unchecked suite total next to the baseline this file recorded for the
-// previous interpreter, which made one function call per instruction.
+// Plus one-time cost rows: lowering the whole suite to bytecode and
+// verifying it (with their ratio and the verify wall this file recorded
+// for the per-instruction-state verifier), and the unchecked suite total
+// next to the baseline this file recorded for the previous interpreter,
+// which made one function call per instruction.
 //
 // --json=FILE emits BENCH_vm.json with per-benchmark and suite-total
 // rows so the trajectory is tracked across PRs.
@@ -40,6 +42,10 @@ constexpr int kConfigs = 2;
 /// recorded figure, so host drift moves the ratio: for a same-host
 /// comparison, run the older commit's bench_vm next to this one.
 constexpr double kBaselineUncheckedS = 0.144;
+/// Verify wall of the verifier that kept a typestate per instruction
+/// rather than per block leader, as this file recorded it (same suite,
+/// same median of 3); a recorded figure, like kBaselineUncheckedS.
+constexpr double kBaselineVerifyS = 0.011852;
 
 /// The Executor::run argument conversion, against an explicit Interp so
 /// each configuration drives the same bytecode.
@@ -71,6 +77,7 @@ struct BenchRow {
 };
 
 struct VerifyCost {
+  double compileSeconds = 0; ///< vm::compileModule over the suite
   double wallSeconds = 0;
   uint64_t functions = 0;
   uint64_t errors = 0;
@@ -118,11 +125,19 @@ int main(int argc, char **argv) {
                                   job->result().module.get()))
                             : std::nullopt);
 
-  // One-time verification cost over the whole suite's bytecode.
+  // One-time lowering and verification costs over the whole suite, the
+  // two halves of the bytecode layer.
+  VerifyCost vc;
+  vc.compileSeconds = medianTime(
+      [&] {
+        for (driver::CompileJob *job : suite.jobs)
+          if (job)
+            vm::compileModule(job->result().module.get());
+      },
+      3);
   auto &reg = metrics::MetricsRegistry::instance();
   uint64_t fns0 = reg.counterValue("vm.verify.functions");
   uint64_t errs0 = reg.counterValue("vm.verify.errors");
-  VerifyCost vc;
   vc.wallSeconds = medianTime(
       [&] {
         for (const auto &bc : bytecodes)
@@ -137,11 +152,18 @@ int main(int argc, char **argv) {
   vc.functions = reg.counterValue("vm.verify.functions") - fns0;
   vc.errors = reg.counterValue("vm.verify.errors") - errs0;
 
-  std::printf("=== Bytecode verification (one-time, whole suite x3) ===\n\n");
+  double verifyOverCompile =
+      vc.compileSeconds > 0 ? vc.wallSeconds / vc.compileSeconds : 0.0;
+  std::printf("=== Bytecode compile + verification (one-time, whole suite, "
+              "median of 3) ===\n\n");
+  std::printf("  compile wall     : %10.6f s (vm::compileModule)\n",
+              vc.compileSeconds);
   std::printf("  verify wall      : %10.6f s (%llu function passes, "
-              "%llu errors)\n",
+              "%llu errors; %.6f s recorded for the per-instruction-state "
+              "verifier)\n",
               vc.wallSeconds, static_cast<unsigned long long>(vc.functions),
-              static_cast<unsigned long long>(vc.errors));
+              static_cast<unsigned long long>(vc.errors), kBaselineVerifyS);
+  std::printf("  verify / compile : %10.2fx\n", verifyOverCompile);
 
   std::printf("\n=== Suite execution wall (seconds, scale=%d, threads=%u, "
               "median of %d) ===\n\n",
@@ -207,10 +229,13 @@ int main(int argc, char **argv) {
     std::fprintf(f, "  \"threads\": %u,\n", kThreads);
     std::fprintf(f,
                  "  \"verify\": {\"wall_s\": %.6f, \"functions\": %llu, "
-                 "\"errors\": %llu},\n",
+                 "\"errors\": %llu, \"compile_wall_s\": %.6f, "
+                 "\"verify_over_compile\": %.3f, "
+                 "\"baseline_wall_s\": %.6f},\n",
                  vc.wallSeconds,
                  static_cast<unsigned long long>(vc.functions),
-                 static_cast<unsigned long long>(vc.errors));
+                 static_cast<unsigned long long>(vc.errors),
+                 vc.compileSeconds, verifyOverCompile, kBaselineVerifyS);
     std::fprintf(f, "  \"execution\": [\n");
     for (size_t i = 0; i < rows.size(); ++i)
       std::fprintf(f,

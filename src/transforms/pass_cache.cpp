@@ -324,13 +324,15 @@ void PassResultCache::store(const Hash128 &input, const std::string &spec,
 //   output <32 hex>                   (structural hash of the result; the
 //                                      next pass's input key)
 //   text <32 hex>                     (hashBytes of the payload below)
-//   funcs <32 hex>,<32 hex>,...       (module entries only)
+//   funcs <32 hex>,<32 hex>,...       (module entries, except identity)
 //   ---
-//   <ir text>
+//   <ir text>                         (empty for an identity entry)
 // The header repeats the full key so a (vanishingly unlikely) filename
 // hash collision, or a stale file from an incompatible version, reads as
 // a miss instead of replaying wrong IR; the text hash catches truncated
-// or corrupted payloads. v1 files (printed-text keying, no text line)
+// or corrupted payloads. An identity entry (the pass left its input
+// unchanged; output equals input) has an empty payload and its text line
+// hashes the empty string. v1 files (printed-text keying, no text line)
 // fail the magic check and degrade to misses.
 std::optional<PassResultCache::Entry>
 PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
@@ -409,8 +411,9 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
   if (span.active())
     span.annotate("spec", spec);
   // error = simulated ENOSPC (caller retries then demotes);
-  // partial-write = short payload that reports success here and
-  // surfaces on read-back as a text-hash mismatch (a miss).
+  // partial-write = a record cut in half that reports success here and
+  // surfaces on read-back as a broken header or a text-hash mismatch (a
+  // miss).
   failpoint::Action inject = failpoint::evaluate("cache.disk.write");
   if (inject == failpoint::Action::Error)
     return 0;
@@ -422,26 +425,30 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
   std::ostringstream tmp;
   tmp << path << ".tmp." << getProcessId() << "."
       << std::this_thread::get_id();
+  // Header and payload go out as one buffer, so partial-write tears the
+  // record itself: an identity entry's empty payload has nothing to cut.
+  std::ostringstream header;
+  header << "paralift-pass-cache v2\n"
+         << "input " << input.hex() << "\n"
+         << "spec " << spec << "\n"
+         << "output " << entry.outputHash.hex() << "\n"
+         << "text " << hashBytes(entry.ir).hex() << "\n";
+  if (!entry.funcHashes.empty()) {
+    header << "funcs ";
+    for (size_t i = 0; i < entry.funcHashes.size(); ++i)
+      header << (i ? "," : "") << entry.funcHashes[i].hex();
+    header << "\n";
+  }
+  header << "---\n";
+  std::string record = header.str() + entry.ir;
+  size_t bytes = record.size();
+  if (inject == failpoint::Action::PartialWrite)
+    bytes /= 2; // torn record, "successful" write
   {
     std::ofstream out(tmp.str(), std::ios::binary | std::ios::trunc);
     if (!out)
       return 0;
-    out << "paralift-pass-cache v2\n"
-        << "input " << input.hex() << "\n"
-        << "spec " << spec << "\n"
-        << "output " << entry.outputHash.hex() << "\n"
-        << "text " << hashBytes(entry.ir).hex() << "\n";
-    if (!entry.funcHashes.empty()) {
-      out << "funcs ";
-      for (size_t i = 0; i < entry.funcHashes.size(); ++i)
-        out << (i ? "," : "") << entry.funcHashes[i].hex();
-      out << "\n";
-    }
-    out << "---\n";
-    size_t irBytes = entry.ir.size();
-    if (inject == failpoint::Action::PartialWrite)
-      irBytes /= 2; // torn payload, "successful" write
-    out.write(entry.ir.data(), static_cast<std::streamsize>(irBytes));
+    out.write(record.data(), static_cast<std::streamsize>(bytes));
     if (!out) {
       // Failed write (e.g. disk full): do not litter the shared dir.
       out.close();
@@ -451,17 +458,14 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
     }
   }
   std::error_code ec;
-  // Actual file bytes (header included) so the auto-sweep threshold
-  // tracks real disk growth, not just payload size.
-  uint64_t written = std::filesystem::file_size(tmp.str(), ec);
-  if (ec)
-    written = entry.ir.size();
   std::filesystem::rename(tmp.str(), path, ec);
   if (ec) {
     std::filesystem::remove(tmp.str(), ec);
     return 0;
   }
-  return written;
+  // File bytes, header included, so the auto-sweep threshold tracks real
+  // disk growth, not just payload size.
+  return bytes;
 }
 
 PassResultCache::StatsSnapshot PassResultCache::stats() const {

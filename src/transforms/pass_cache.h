@@ -66,8 +66,12 @@ public:
   PassResultCache(const PassResultCache &) = delete;
   PassResultCache &operator=(const PassResultCache &) = delete;
 
+  /// One pass result. An *identity* entry has no IR text: the pass left
+  /// its input unchanged (outputHash equals the input key), so replay
+  /// has nothing to splice or parse, and leaves a lazily replayed
+  /// function's pending text alone — the hash chain is already right.
   struct Entry {
-    std::string ir;     ///< printed IR produced by the pass
+    std::string ir;     ///< printed IR produced by the pass; empty = identity
     /// Structural hash (ir::hashOp) of the produced IR; the next pass's
     /// input key. Splicing `ir` back in reproduces it exactly (the
     /// print/parse round trip preserves structure), so replayed and
@@ -78,6 +82,10 @@ public:
     /// chain without re-hashing each function. Empty for function
     /// entries.
     std::vector<Hash128> funcHashes;
+
+    /// A printed function or module is never empty, so empty text is the
+    /// identity marker.
+    bool identity() const { return ir.empty(); }
   };
 
   /// Records a pass result. Overwrites any existing entry for the key

@@ -621,6 +621,10 @@ ir::Op *PassManager::spliceFunction(ModuleOp module, ir::Op *oldFunc,
 bool PassManager::applyHit(ModuleOp module, ir::Op *func,
                            PassResultCache::Entry &&hit, bool lazy,
                            CacheState &st) {
+  // An identity entry: the pass left this IR unchanged, so the hash
+  // chain already holds its output hash and any pending text is current.
+  if (hit.identity())
+    return true;
   if (lazy) {
     // Accept the hit without splicing: the hash chain advances and the
     // latest cached text supersedes any earlier pending text.
@@ -673,6 +677,8 @@ bool PassManager::materializeAll(ModuleOp module, CacheState &st) {
 bool PassManager::spliceModule(ModuleOp module,
                                const PassResultCache::Entry &entry,
                                CacheState &st) {
+  if (entry.identity())
+    return true; // the pass left every function as it was
   DiagnosticEngine localDiag;
   ir::Op *top =
       ir::parseModuleInto(module.op->arena(), entry.ir, localDiag);
@@ -1093,10 +1099,14 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       entry.funcHashes.push_back(h);
       output = combineHash(output, h);
     }
-    entry.ir = ir::printOp(module.op);
     // The chain key of a module entry is the same per-function fold the
-    // next module pass derives its input from.
+    // next module pass derives its input from. An unchanged module is
+    // stored as an identity entry: no text, nothing to splice on replay.
     entry.outputHash = output;
+    if (output == input)
+      entry.funcHashes.clear();
+    else
+      entry.ir = ir::printOp(module.op);
     cache->store(input, spec, std::move(entry));
     cache->finishCompute(input, spec);
   }
@@ -1306,8 +1316,13 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
   }
   for (const FuncRun &r : fan.items) {
     if (cache) {
+      // A function the pass left unchanged is stored as an identity
+      // entry, skipping the print here and the splice on every replay.
       Hash128 outputHash = ir::hashOp(r.func);
-      cache->store(r.input, fan.spec, ir::printOp(r.func), outputHash);
+      cache->store(r.input, fan.spec,
+                   outputHash == r.input ? std::string()
+                                         : ir::printOp(r.func),
+                   outputHash);
       m.st.irHash[r.func] = outputHash;
       if (r.owned)
         cache->finishCompute(r.input, fan.spec);

@@ -214,6 +214,9 @@ public:
     // errors those reads are unsafe, so stop here.
     if (result_.errors.empty()) {
       computeRoles();
+      for (uint32_t i = 0; i < mod_.fns.size(); ++i)
+        cfgs_.push_back(buildCfg(i));
+      states_.assign(mod_.fns.size(), LeaderStates{});
 
       // Interprocedural fixpoint: argument typestates flow from every
       // invocation site (Call and closure launch, in any function-index
@@ -246,7 +249,7 @@ public:
         queued[i] = 0;
         changedSeeds_.clear();
         retChanged_ = false;
-        flowFunction(i, /*report=*/false);
+        flowFunction(i);
         auto enqueue = [&](uint32_t f) {
           if (!queued[f]) {
             queued[f] = 1;
@@ -260,12 +263,12 @@ public:
             enqueue(caller);
       }
 
-      // Reporting pass over the converged summaries: each reachable pc
+      // Reporting pass over the converged states: each reachable pc
       // visited exactly once, so every error has a stable attribution.
       for (uint32_t i = 0; i < mod_.fns.size(); ++i) {
         trace::TraceSpan span(std::string("verify:") + mod_.fns[i].name,
                               "vm");
-        flowFunction(i, /*report=*/true);
+        reportFunction(i);
       }
     }
     errCounter.add(result_.errors.size());
@@ -710,88 +713,212 @@ private:
     }
   }
 
-  /// Runs the intra-function worklist to its fixpoint. With
-  /// report=false, invocation-site and Ret summaries are joined into
-  /// argSeeds_/retStates_ (the interprocedural propagation); with
-  /// report=true the converged states are swept once per pc to emit
-  /// errors with stable attribution.
-  void flowFunction(uint32_t fnIdx, bool report) {
+  /// Per-function control-flow facts that do not depend on register
+  /// typestates, computed once per function: block leaders (pc 0, every
+  /// jump target, and every pc after a Jump, JumpIfFalse, Ret or an
+  /// opcode outside the enum) and the ScopePush depth on entry to each.
+  /// A leader's depth is the one the first arrival of a breadth-first
+  /// walk over the pc successor graph brings; it clashes when any
+  /// reachable edge brings a different depth.
+  struct Cfg {
+    std::vector<int32_t> slotOf;   ///< pc -> leader slot, -1 inside a block
+    std::vector<uint32_t> leaders; ///< leader pcs, ascending
+    std::vector<int32_t> depth;    ///< per leader slot, on entry
+    std::vector<char> depthClash;  ///< per leader slot
+    bool endReachable = false;     ///< control can fall off the end
+    int32_t endDepth = 0;
+    bool endClash = false;
+  };
+
+  /// Successor pcs of `in` at `pc` exactly as transfer() feeds them to
+  /// flowInto (an opcode outside the enum has none).
+  template <typename F> static void forEachSucc(const Instr &in, size_t pc,
+                                                F &&f) {
+    switch (in.op) {
+    case BC::Jump:
+      f(static_cast<size_t>(in.imm));
+      return;
+    case BC::JumpIfFalse:
+      f(static_cast<size_t>(in.imm));
+      f(pc + 1);
+      return;
+    case BC::Ret:
+      return;
+    default:
+      if (in.op <= BC::ScopePop)
+        f(pc + 1);
+      return;
+    }
+  }
+
+  Cfg buildCfg(uint32_t fnIdx) const {
     const BCFunction &fn = mod_.fns[fnIdx];
     const size_t n = fn.instrs.size();
+    Cfg g;
+    std::vector<char> isLeader(n + 1, 0);
+    isLeader[0] = 1;
+    for (size_t pc = 0; pc < n; ++pc) {
+      const Instr &in = fn.instrs[pc];
+      if (in.op == BC::Jump || in.op == BC::JumpIfFalse)
+        isLeader[static_cast<size_t>(in.imm)] = 1;
+      if (in.op == BC::Jump || in.op == BC::JumpIfFalse ||
+          in.op == BC::Ret || in.op > BC::ScopePop)
+        isLeader[pc + 1] = 1;
+    }
+    g.slotOf.assign(n + 1, -1);
+    for (size_t pc = 0; pc < n; ++pc)
+      if (isLeader[pc]) {
+        g.slotOf[pc] = static_cast<int32_t>(g.leaders.size());
+        g.leaders.push_back(static_cast<uint32_t>(pc));
+      }
+    g.depth.assign(g.leaders.size(), 0);
+    g.depthClash.assign(g.leaders.size(), 0);
 
-    // In-state per pc; slot n is the implicit end-of-function point.
-    std::vector<char> reachable(n + 1, 0);
-    std::vector<char> depthClash(n + 1, 0);
-    std::vector<FlowState> in(n + 1);
+    // Breadth-first over pcs: each pc expanded once, at its first-arrival
+    // depth (a later arrival never changes it, only flags a clash).
+    std::vector<int32_t> pcDepth(n + 1, -1);
+    std::vector<char> pcClash(n + 1, 0);
+    std::deque<size_t> work;
+    pcDepth[0] = 0;
+    if (n > 0)
+      work.push_back(0);
+    while (!work.empty()) {
+      size_t pc = work.front();
+      work.pop_front();
+      const Instr &in = fn.instrs[pc];
+      int32_t out = pcDepth[pc];
+      if (in.op == BC::ScopePush)
+        ++out;
+      else if (in.op == BC::ScopePop && out > 0)
+        --out;
+      forEachSucc(in, pc, [&](size_t t) {
+        if (pcDepth[t] < 0) {
+          pcDepth[t] = out;
+          if (t < n)
+            work.push_back(t);
+        } else if (pcDepth[t] != out) {
+          pcClash[t] = 1;
+        }
+      });
+    }
+    for (size_t s = 0; s < g.leaders.size(); ++s) {
+      uint32_t pc = g.leaders[s];
+      g.depth[s] = std::max(pcDepth[pc], 0);
+      g.depthClash[s] = pcClash[pc];
+    }
+    g.endReachable = pcDepth[n] >= 0;
+    g.endDepth = std::max(pcDepth[n], 0);
+    g.endClash = pcClash[n];
+    return g;
+  }
 
+  /// Runs the block at leader slot `s` of `fnIdx` from `in`, through one
+  /// mutable state: transfer() for each pc up to the next leader, with
+  /// the error sink sinkAt(pc).
+  template <typename SinkAt, typename Flow>
+  void runBlock(uint32_t fnIdx, const Cfg &g, size_t s,
+                const std::vector<RegState> &in, SinkAt &&sinkAt,
+                Flow &&flowInto, bool updateSummaries) {
+    const size_t n = mod_.fns[fnIdx].instrs.size();
+    block_.regs = in;
+    block_.depth = g.depth[s];
+    for (size_t pc = g.leaders[s];; ++pc) {
+      transfer(fnIdx, pc, block_, sinkAt(pc), flowInto, updateSummaries);
+      if (pc + 1 >= n || g.slotOf[pc + 1] >= 0)
+        break;
+    }
+  }
+
+  /// Runs the intra-function worklist to its fixpoint under the current
+  /// summaries, joining invocation-site and Ret typestates into
+  /// argSeeds_/retStates_ (the interprocedural propagation), and keeps the
+  /// leader states in states_[fnIdx]. A function's last run sees the
+  /// converged summaries (any later change re-queues it), so its states
+  /// are the ones reportFunction sweeps.
+  ///
+  /// Register typestates are kept only at block leaders: a block runs
+  /// straight through one mutable state, and joins happen only on the
+  /// edges that enter a leader (see Cfg for the depth bookkeeping).
+  void flowFunction(uint32_t fnIdx) {
+    const size_t n = mod_.fns[fnIdx].instrs.size();
+    if (n == 0)
+      return;
+    const Cfg &g = cfgs_[fnIdx];
+    LeaderStates &ls = states_[fnIdx];
+    ls.in.assign(g.leaders.size(), {});
+    ls.seen.assign(g.leaders.size(), 0);
+    std::vector<char> queued(g.leaders.size(), 0);
     std::deque<size_t> work;
     auto flowInto = [&](size_t target, const FlowState &st) {
-      if (!reachable[target]) {
-        reachable[target] = 1;
-        in[target] = st;
-        if (target < n)
-          work.push_back(target);
-        return;
-      }
-      bool changed = false;
-      FlowState &cur = in[target];
-      if (cur.depth != st.depth) {
-        // Path-dependent scope depth: reported once per merge point after
-        // the fixpoint. Keep the existing depth so iteration terminates.
-        depthClash[target] = 1;
-      }
-      for (size_t r = 0; r < cur.regs.size(); ++r) {
-        RegState j = join(cur.regs[r], st.regs[r]);
-        if (!(j == cur.regs[r])) {
-          cur.regs[r] = j;
-          changed = true;
+      int32_t s = target < n ? g.slotOf[target] : -1;
+      if (s < 0)
+        return; // the end slot, or a fallthrough the block carries on
+      if (!ls.seen[s]) {
+        ls.seen[s] = 1;
+        ls.in[s] = st.regs;
+      } else {
+        bool changed = false;
+        std::vector<RegState> &cur = ls.in[s];
+        for (size_t r = 0; r < cur.size(); ++r) {
+          RegState j = join(cur[r], st.regs[r]);
+          if (!(j == cur[r])) {
+            cur[r] = j;
+            changed = true;
+          }
         }
+        if (!changed)
+          return;
       }
-      if (changed && target < n)
-        work.push_back(target);
+      if (!queued[s]) {
+        queued[s] = 1;
+        work.push_back(s);
+      }
     };
-
     flowInto(0, entryState(fnIdx));
-    if (n == 0) {
+    while (!work.empty()) {
+      size_t s = work.front();
+      work.pop_front();
+      queued[s] = 0;
+      runBlock(fnIdx, g, s, ls.in[s], [](size_t) { return ErrorSink{}; },
+               flowInto, /*updateSummaries=*/true);
+    }
+  }
+
+  /// Reporting pass over one function's converged leader states: each
+  /// reachable block swept once in pc order, so every error has a single,
+  /// stable attribution.
+  void reportFunction(uint32_t fnIdx) {
+    const BCFunction &fn = mod_.fns[fnIdx];
+    if (fn.instrs.empty()) {
       // Empty body: execution falls straight off the end.
-      if (report && fn.numResults > 0)
+      if (fn.numResults > 0)
         error(fnIdx, VerifyError::kNoPc,
               "empty function declares " + std::to_string(fn.numResults) +
                   " results (no Ret can produce them)");
       return;
     }
-    while (!work.empty()) {
-      size_t pc = work.front();
-      work.pop_front();
-      FlowState st = in[pc];
-      transfer(fnIdx, pc, st, ErrorSink{}, flowInto,
-               /*updateSummaries=*/!report);
-    }
-    if (!report)
-      return;
-
-    // Reporting pass over the fixed states: each reachable pc visited
-    // exactly once, so every error has a single, stable attribution.
+    const Cfg &g = cfgs_[fnIdx];
+    const LeaderStates &ls = states_[fnIdx];
     auto noFlow = [](size_t, const FlowState &) {};
-    for (size_t pc = 0; pc < n; ++pc) {
-      if (!reachable[pc])
+    for (size_t s = 0; s < g.leaders.size(); ++s) {
+      if (!ls.seen[s])
         continue;
-      if (depthClash[pc])
-        error(fnIdx, pc,
+      if (g.depthClash[s])
+        error(fnIdx, g.leaders[s],
               "ScopePush/ScopePop depth differs between predecessor paths");
-      FlowState st = in[pc];
-      transfer(fnIdx, pc, st, ErrorSink{this, fnIdx, pc}, noFlow,
+      runBlock(fnIdx, g, s, ls.in[s],
+               [&](size_t pc) { return ErrorSink{this, fnIdx, pc}; }, noFlow,
                /*updateSummaries=*/false);
     }
-    if (reachable[n]) {
+    if (g.endReachable) {
       if (fn.numResults > 0)
         error(fnIdx, VerifyError::kNoPc,
               "control reaches the end of the function without Ret (" +
                   std::to_string(fn.numResults) + " results undefined)");
-      else if (in[n].depth != 0 || depthClash[n])
+      else if (g.endDepth != 0 || g.endClash)
         error(fnIdx, VerifyError::kNoPc,
               "control reaches the end of the function with " +
-                  std::to_string(in[n].depth) + " unmatched ScopePush");
+                  std::to_string(g.endDepth) + " unmatched ScopePush");
     }
   }
 
@@ -1140,6 +1267,16 @@ private:
   /// Per-function join of Ret value typestates over all reachable Rets;
   /// nullopt = no Ret seen (the function cannot return).
   std::vector<std::optional<std::vector<RegState>>> retStates_;
+  /// Per-function leaders, reachability and scope depths (see Cfg).
+  std::vector<Cfg> cfgs_;
+  /// In-state per leader slot of a function's last fixpoint run; `seen`
+  /// marks the slots some edge reached.
+  struct LeaderStates {
+    std::vector<std::vector<RegState>> in;
+    std::vector<char> seen;
+  };
+  std::vector<LeaderStates> states_;
+  FlowState block_; ///< runBlock's mutable state (capacity reused)
   /// Scratch for one flowFunction run: which seeds/summaries rose.
   std::vector<uint32_t> changedSeeds_;
   bool retChanged_ = false;

@@ -31,6 +31,17 @@
 //    toward a memref read is rejected no matter which interprocedural
 //    or CFG path carries it.
 //
+// Cost. Typestates are kept only at block leaders (pc 0, every jump
+// target, every pc after a Jump/JumpIfFalse/Ret), never per instruction:
+// a block runs straight through one mutable state, and registers are
+// joined only on the edges that enter a leader. ScopePush depths and
+// reachability do not depend on typestates, so one breadth-first walk
+// per function settles them up front. One pass over a function costs
+// O(instrs + leaders x numRegs); the reporting sweep walks each reachable
+// block once from the converged leader states of the fixpoint's last
+// pass, in pc order, so errors keep their (function, pc, reason)
+// attribution and order.
+//
 // A module that verifies clean yields a VerifiedModule token; an
 // interpreter can only be built from one, and it performs no dynamic
 // per-access register/descriptor checks (see "Bytecode verification" in

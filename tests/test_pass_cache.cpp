@@ -345,6 +345,47 @@ TEST(PassCacheTest, DiskCacheSurvivesProcessesAndRejectsCorruption) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PassCacheTest, UnchangedFunctionsStoreIdentityEntries) {
+  // A pass that leaves a function as it was stores an entry without
+  // text; replaying it, from memory or from disk, splices nothing, so
+  // the live function ops survive the run.
+  std::string dir = tempDir("identity");
+  const std::string pipeline = "canonicalize,cse";
+  OwnedModule reference = parseOk(twoFuncModule("2.0"));
+  DiagnosticEngine diag;
+  ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
+  const std::string canonical = printOp(reference.op());
+  auto funcsOf = [](ModuleOp m) {
+    std::vector<Op *> funcs;
+    for (Op *op : m.body())
+      if (op->kind() == OpKind::Func)
+        funcs.push_back(op);
+    return funcs;
+  };
+  {
+    PassResultCache cache(dir);
+    OwnedModule m = parseOk(canonical);
+    EXPECT_EQ(runCached(m.get(), pipeline, &cache), canonical);
+    for (Op *func : funcsOf(m.get())) {
+      Hash128 h = hashOp(func);
+      auto ar = cache.acquire(h, "cse", nullptr);
+      ASSERT_EQ(ar.state, PassResultCache::AcquireState::Hit);
+      EXPECT_TRUE(ar.entry->identity());
+      EXPECT_EQ(ar.entry->outputHash, h);
+    }
+  }
+  PassResultCache cache(dir);
+  OwnedModule m = parseOk(canonical);
+  std::vector<Op *> before = funcsOf(m.get());
+  EXPECT_EQ(runCached(m.get(), pipeline, &cache), canonical);
+  EXPECT_EQ(funcsOf(m.get()), before);
+  auto s = cache.stats();
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.diskHits, s.hits);
+  EXPECT_EQ(s.passesExecuted, 0u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PassCacheTest, UnwritableDirectoryDegradesToMemoryOnly) {
   PassResultCache cache("/proc/definitely-not-writable/cache");
   EXPECT_TRUE(cache.directory().empty());

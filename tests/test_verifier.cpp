@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 using namespace paralift;
 using namespace paralift::vm;
 
@@ -357,6 +359,123 @@ TEST(VerifierFlow, StructuralErrorsSuppressFlowLayer) {
 }
 
 //===----------------------------------------------------------------------===//
+// Block boundaries: typestates live only at block leaders, so every edge
+// into a leader, and every pc a block runs through, must keep the exact
+// attribution a per-instruction analysis gives.
+//===----------------------------------------------------------------------===//
+
+TEST(VerifierBlocks, JumpIntoStraightLineRunReportsAtReadingPc) {
+  // pc 3..6 is one straight-line run; only the edge from pc 2 into its
+  // middle carries r1 as a float, so the conflict shows at pc 5 alone.
+  BCFunction f;
+  f.numRegs = 3;
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),             // 0
+      ins(BC::ConstF, 0, 0, 0, /*d=*/1),                // 1: r1 float
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/5), // 2
+      ins(BC::ConstI, 0, 0, 0, /*d=*/1, 2),             // 3: r1 int
+      ins(BC::ConstI, 0, 0, 0, /*d=*/2, 3),             // 4
+      ins(BC::AddI, /*a=*/1, /*b=*/0, 0, /*d=*/2),      // 5: reads r1
+      ins(BC::Ret),                                     // 6
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 5, "reads r1 as int but it is path-dependent");
+  EXPECT_EQ(r.errors.size(), 1u) << r.str();
+}
+
+TEST(VerifierBlocks, BackEdgeConflictOnSecondTrip) {
+  // r1 enters the loop header as an int; the body turns it into a float,
+  // so the header's read is only wrong once the back-edge has been taken.
+  BCFunction f;
+  f.numRegs = 3;
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),             // 0
+      ins(BC::ConstI, 0, 0, 0, /*d=*/1, 1),             // 1: r1 int
+      ins(BC::AddI, /*a=*/1, /*b=*/0, 0, /*d=*/2),      // 2: loop header
+      ins(BC::ConstF, 0, 0, 0, /*d=*/1),                // 3: r1 float
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/6), // 4
+      ins(BC::Jump, 0, 0, 0, 0, /*imm=*/2),             // 5: back-edge
+      ins(BC::Ret),                                     // 6
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 2, "reads r1 as int but it is path-dependent");
+  EXPECT_EQ(r.errors.size(), 1u) << r.str();
+}
+
+TEST(VerifierBlocks, JumpIfFalseToNextPcReportsOnce) {
+  // Both edges of the branch enter pc 2; the bad read after them is one
+  // error, not one per edge.
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),             // 0
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/2), // 1: target pc+1
+      ins(BC::ConstF, 0, 0, 0, /*d=*/1),                // 2
+      ins(BC::AddI, /*a=*/1, /*b=*/0, 0, /*d=*/0),      // 3: float as int
+      ins(BC::Ret),                                     // 4
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 3, "reads r1 as int but it is float");
+  EXPECT_EQ(r.errors.size(), 1u) << r.str();
+}
+
+TEST(VerifierBlocks, DeadCodeAfterRetAndJumpIsNotReported) {
+  // pc 1 (after a Jump) and pc 4 (after a Ret) read uninitialized
+  // registers, but no path reaches them.
+  BCFunction f;
+  f.numRegs = 3;
+  f.instrs = {
+      ins(BC::Jump, 0, 0, 0, 0, /*imm=*/2),        // 0
+      ins(BC::AddI, /*a=*/1, /*b=*/1, 0, /*d=*/2), // 1: dead
+      ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),        // 2
+      ins(BC::Ret),                                // 3
+      ins(BC::SqrtF, /*a=*/2, 0, 0, /*d=*/1),      // 4: dead
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  EXPECT_TRUE(r.ok()) << r.str();
+}
+
+TEST(VerifierBlocks, ScopeDepthClashAtLoopHeaderReportedOnce) {
+  // The header at pc 1 is entered at depth 0 from pc 0 and at depth 1
+  // over the back-edge from pc 4.
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),             // 0
+      ins(BC::ConstI, 0, 0, 0, /*d=*/1, 2),             // 1: loop header
+      ins(BC::ScopePush),                               // 2
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/5), // 3
+      ins(BC::Jump, 0, 0, 0, 0, /*imm=*/1),             // 4: back-edge
+      ins(BC::ScopePop),                                // 5
+      ins(BC::Ret),                                     // 6
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 1, "depth differs between predecessor paths");
+  EXPECT_EQ(r.errors.size(), 1u) << r.str();
+}
+
+TEST(VerifierBlocks, JumpToEndSlotWithResults) {
+  // Target 3 is the end slot n: legal as a jump target, but a function
+  // with results must not get there.
+  BCFunction f;
+  f.numRegs = 1;
+  f.numResults = 1;
+  f.extras = {0};
+  f.instrs = {
+      ins(BC::ConstI, 0, 0, 0, /*d=*/0, 1),             // 0
+      ins(BC::JumpIfFalse, /*a=*/0, 0, 0, 0, /*imm=*/3), // 1: to the end
+      ins(BC::Ret, 0, /*b=*/0, /*c=*/1),                // 2
+  };
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  ASSERT_EQ(r.errors.size(), 1u) << r.str();
+  EXPECT_EQ(r.errors.front().pc, VerifyError::kNoPc);
+  EXPECT_NE(r.errors.front().reason.find(
+                "reaches the end of the function without Ret"),
+            std::string::npos)
+      << r.str();
+}
+
+//===----------------------------------------------------------------------===//
 // Interprocedural typestate propagation: type confusion smuggled across
 // Call / closure boundaries must be rejected, in any function order.
 //===----------------------------------------------------------------------===//
@@ -621,3 +740,158 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<const rodinia::Benchmark *> &info) {
       return info.param->id;
     });
+
+//===----------------------------------------------------------------------===//
+// Seeded mutation soak: single-field corruptions of real compiler output
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The bytecode of every Rodinia module under the four pipelines the
+/// compile-variants benchmark workload compiles (full, optimizations
+/// off, inner loops parallel, MCUDA).
+const std::vector<std::pair<std::string, BCModule>> &variantModules() {
+  static const auto mods = [] {
+    transforms::PipelineOptions innerPar;
+    innerPar.innerSerialize = false;
+    const std::array<std::pair<const char *, transforms::PipelineOptions>, 4>
+        variants = {{{"full", {}},
+                     {"optdisabled",
+                      transforms::PipelineOptions::optDisabled()},
+                     {"innerpar", innerPar},
+                     {"mcuda", transforms::PipelineOptions::mcuda()}}};
+    std::vector<std::pair<std::string, BCModule>> out;
+    for (const auto &b : rodinia::suite())
+      for (const auto &[name, opts] : variants) {
+        DiagnosticEngine diag;
+        driver::CompileResult cc = driver::compile(b.cudaSource, opts, diag);
+        if (cc.ok)
+          out.emplace_back(b.id + "/" + name, compileModule(cc.module.get()));
+      }
+    return out;
+  }();
+  return mods;
+}
+
+uint64_t splitmix(uint64_t &s) {
+  uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+enum class Field { Opcode, A, B, C, D, Imm, JumpTarget, Extras, kCount };
+
+/// Overwrites one field of one instruction (or one extras entry) of a
+/// random function in `m`, drawn from `seed`. Register-like values are
+/// mostly in range, so most mutants reach the flow layer; the rest probe
+/// the structural checks. Returns a label naming the mutation.
+std::string mutate(BCModule &m, Field field, uint64_t seed) {
+  std::vector<uint32_t> bodies;
+  for (uint32_t i = 0; i < m.fns.size(); ++i)
+    if (!m.fns[i].instrs.empty())
+      bodies.push_back(i);
+  uint32_t fi = bodies[splitmix(seed) % bodies.size()];
+  BCFunction &fn = m.fns[fi];
+  const size_t n = fn.instrs.size();
+  auto regLike = [&]() -> int32_t {
+    uint64_t r = splitmix(seed);
+    if (r % 8 != 0)
+      return static_cast<int32_t>((r >> 3) %
+                                  std::max<uint32_t>(fn.numRegs, 1));
+    static constexpr int32_t kWild[] = {-1, 0x7fffffff};
+    return r % 16 == 0 ? kWild[(r >> 4) % 2]
+                       : static_cast<int32_t>(fn.numRegs);
+  };
+  size_t pc = splitmix(seed) % n;
+  if (field == Field::JumpTarget) {
+    std::vector<size_t> jumps;
+    for (size_t p = 0; p < n; ++p)
+      if (fn.instrs[p].op == BC::Jump || fn.instrs[p].op == BC::JumpIfFalse)
+        jumps.push_back(p);
+    if (jumps.empty())
+      field = Field::Imm;
+    else
+      pc = jumps[splitmix(seed) % jumps.size()];
+  }
+  if (field == Field::Extras && fn.extras.empty())
+    field = Field::A;
+  Instr &in = fn.instrs[pc];
+  std::string where = "fn " + std::to_string(fi) + " pc " + std::to_string(pc);
+  switch (field) {
+  case Field::Opcode:
+    // In-enum values only: the verifier does not yet reject an opcode
+    // outside BC.
+    in.op = static_cast<BC>(splitmix(seed) % (size_t(BC::ScopePop) + 1));
+    return where + " op=" + std::to_string(int(in.op));
+  case Field::A:
+    in.a = regLike();
+    return where + " a=" + std::to_string(in.a);
+  case Field::B:
+    in.b = regLike();
+    return where + " b=" + std::to_string(in.b);
+  case Field::C:
+    in.c = regLike();
+    return where + " c=" + std::to_string(in.c);
+  case Field::D:
+    in.d = regLike();
+    return where + " d=" + std::to_string(in.d);
+  case Field::Imm:
+    in.imm = static_cast<int64_t>(splitmix(seed) % (n + 3)) - 1;
+    return where + " imm=" + std::to_string(in.imm);
+  case Field::JumpTarget:
+    in.imm = static_cast<int64_t>(splitmix(seed) % (n + 1));
+    return where + " target=" + std::to_string(in.imm);
+  case Field::Extras: {
+    size_t e = splitmix(seed) % fn.extras.size();
+    fn.extras[e] = regLike();
+    return "fn " + std::to_string(fi) + " extras[" + std::to_string(e) +
+           "]=" + std::to_string(fn.extras[e]);
+  }
+  case Field::kCount:
+    break;
+  }
+  return where;
+}
+
+/// Mutants per (module, pipeline) pair and field.
+constexpr int kMutantsPerField = 8;
+
+/// Every mutant of the soak, in a fixed order: "<job> <mutation>".
+template <typename F> void forEachMutant(F &&visit) {
+  const auto &mods = variantModules();
+  for (size_t j = 0; j < mods.size(); ++j)
+    for (int f = 0; f < int(Field::kCount); ++f)
+      for (int k = 0; k < kMutantsPerField; ++k) {
+        BCModule m = mods[j].second;
+        uint64_t seed = (uint64_t(j) << 32) ^ (uint64_t(f) << 16) ^ uint64_t(k);
+        std::string label =
+            mods[j].first + " " + mutate(m, Field(f), seed);
+        visit(label, m);
+      }
+}
+
+} // namespace
+
+TEST(VerifierMutationSoak, EveryMutantGetsAStableAttributedVerdict) {
+  ASSERT_EQ(variantModules().size(), rodinia::suite().size() * 4);
+  size_t mutants = 0, rejected = 0;
+  forEachMutant([&](const std::string &label, const BCModule &m) {
+    ++mutants;
+    VerifyResult first = verifyModule(m);
+    VerifyResult second = verifyModule(m);
+    EXPECT_EQ(first.ok(), second.ok()) << label;
+    EXPECT_EQ(first.str(), second.str()) << label;
+    rejected += !first.ok();
+    for (const VerifyError &e : first.errors) {
+      ASSERT_LT(e.fnIndex, m.fns.size()) << label << ": " << e.str();
+      EXPECT_TRUE(e.pc == VerifyError::kNoPc ||
+                  e.pc < m.fns[e.fnIndex].instrs.size())
+          << label << ": " << e.str();
+    }
+  });
+  EXPECT_EQ(mutants, variantModules().size() * size_t(Field::kCount) *
+                         kMutantsPerField);
+  // A soak whose corruptions never trip the verifier tests nothing.
+  EXPECT_GT(rejected, mutants / 4);
+}
