@@ -4,7 +4,6 @@
 // comparisons are the reproduction target.
 #pragma once
 
-#include "ir/hasher.h"
 #include "ir/ophelpers.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -220,74 +219,6 @@ compileSuiteSession(const transforms::PipelineOptions &opts,
       job = nullptr;
     }
   return out;
-}
-
-/// Cache-keying cost over the parsed suite: the structural hasher
-/// (ir::hashOp — what the pass cache keys on) against the printed-hash
-/// baseline it replaced (hashBytes(printOp)). Keying is what the DAG
-/// scheduler fans out as per-module leaf tasks, so the per-function cost
-/// here is the unit of that parallel work.
-struct KeyingTimes {
-  double printedSeconds = 0;
-  double structuralSeconds = 0;
-  size_t funcs = 0;
-  int rounds = 0;
-};
-
-inline KeyingTimes measureKeyingTime(const SuiteModules &suite,
-                                     int rounds = 50) {
-  KeyingTimes out;
-  out.rounds = rounds;
-  for (size_t i = 0; i < suite.modules.size(); ++i)
-    if (suite.isValid(i))
-      for (ir::Op *op : suite.modules[i].get().body())
-        if (op->kind() == ir::OpKind::Func)
-          ++out.funcs;
-  // volatile sinks keep the hash loops from folding away without pulling
-  // google-benchmark into this header.
-  volatile uint64_t sink = 0;
-  out.printedSeconds = medianTime([&] {
-    uint64_t acc = 0;
-    for (int r = 0; r < rounds; ++r)
-      for (size_t i = 0; i < suite.modules.size(); ++i) {
-        if (!suite.isValid(i))
-          continue;
-        for (ir::Op *op : suite.modules[i].get().body())
-          if (op->kind() == ir::OpKind::Func)
-            acc ^= transforms::hashBytes(ir::printOp(op)).lo;
-      }
-    sink = acc;
-  });
-  out.structuralSeconds = medianTime([&] {
-    uint64_t acc = 0;
-    for (int r = 0; r < rounds; ++r)
-      for (size_t i = 0; i < suite.modules.size(); ++i) {
-        if (!suite.isValid(i))
-          continue;
-        for (ir::Op *op : suite.modules[i].get().body())
-          if (op->kind() == ir::OpKind::Func)
-            acc ^= ir::hashOp(op).lo;
-      }
-    sink = acc;
-  });
-  (void)sink;
-  return out;
-}
-
-inline void printKeyingTime(const KeyingTimes &k) {
-  std::printf("\n=== Cache-keying time, whole suite x%d (structural "
-              "ir::hashOp vs printed-hash baseline) ===\n\n",
-              k.rounds);
-  std::printf("  printed-hash baseline : %10.6f s  (%zu funcs x%d)\n",
-              k.printedSeconds, k.funcs, k.rounds);
-  std::printf("  structural ir::hashOp : %10.6f s  (%.2fx faster)\n",
-              k.structuralSeconds,
-              k.structuralSeconds > 0 ? k.printedSeconds / k.structuralSeconds
-                                      : 0.0);
-}
-
-inline void printKeyingTime(const SuiteModules &suite, int rounds = 50) {
-  printKeyingTime(measureKeyingTime(suite, rounds));
 }
 
 inline double geomean(const std::vector<double> &xs) {

@@ -3,7 +3,7 @@
 //
 // --json=FILE additionally emits a machine-readable BENCH_compile.json
 // (suite-session latency per thread count, mean/median/p95
-// job-completion latency, keying time, arena parse/clone/teardown cost,
+// job-completion latency, arena parse/clone/teardown cost,
 // cache stats, tracing-disabled vs -enabled overhead, failpoint
 // disarmed vs armed-inert overhead, and a MetricsRegistry snapshot) so
 // the perf trajectory is tracked across PRs.
@@ -352,7 +352,6 @@ transforms::PassResultCache::StatsSnapshot measureCacheStats() {
 }
 
 void writeJson(const std::string &path, const SuiteSessionTable &table,
-               const KeyingTimes &k,
                const IrMemoryTimes &im,
                const transforms::PassResultCache::StatsSnapshot &cs,
                const TracingOverhead &to, const FailpointOverhead &fo) {
@@ -382,10 +381,6 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"keying\": {\"structural_s\": %.6f, \"printed_hash_s\": "
-               "%.6f, \"funcs\": %zu, \"rounds\": %d},\n",
-               k.structuralSeconds, k.printedSeconds, k.funcs, k.rounds);
   std::fprintf(f,
                "  \"ir_memory\": {\"parse_s\": %.6f, \"clone_s\": %.6f, "
                "\"teardown_s\": %.6f, \"modules\": %zu, \"rounds\": %d},\n",
@@ -464,8 +459,6 @@ int main(int argc, char **argv) {
   printPassBreakdown();
   SuiteSessionTable sessionTable = printSuiteSessionMode();
   SuiteModules suite = parseSuiteModules();
-  KeyingTimes keying = measureKeyingTime(suite);
-  printKeyingTime(keying);
   IrMemoryTimes irMem = measureIrMemory(suite);
   printIrMemory(irMem);
   TracingOverhead tracing = measureTracingOverhead();
@@ -473,7 +466,7 @@ int main(int argc, char **argv) {
   FailpointOverhead failpoints = measureFailpointOverhead();
   printFailpointOverhead(failpoints);
   if (!jsonPath.empty())
-    writeJson(jsonPath, sessionTable, keying, irMem, measureCacheStats(),
-              tracing, failpoints);
+    writeJson(jsonPath, sessionTable, irMem, measureCacheStats(), tracing,
+              failpoints);
   return 0;
 }

@@ -145,10 +145,6 @@ void printPassTimingBreakdown(const SuiteModules &suite) {
               "stage's changed suffix)\n",
               populateTotal);
   std::printf("  %s\n", cache.statsStr().c_str());
-
-  // Where the populate overhead went: keying each (function, pass)
-  // boundary. Structural hashing removed the print from that path.
-  printKeyingTime(suite);
 }
 
 void BM_AblationOne(benchmark::State &state) {

@@ -4,8 +4,7 @@
 //
 // Usage:
 //   paralift-opt [file...] [--cuda] [--passes=PIPELINE] [--list-passes]
-//                [--timing] [--stats] [--verify-each] [--verify-analyses]
-//                [--verify-bytecode]
+//                [--timing] [--stats] [--verify-each] [--verify-bytecode]
 //                [--pm-threads=N]
 //                [--cache-dir=DIR] [--cache-limit=MB]
 //                [--no-pass-cache] [--cache-stats]
@@ -47,8 +46,6 @@
 // --cache-limit=<MB> (or $PARALIFT_CACHE_LIMIT) bounds the on-disk store,
 // sweeping oldest entries at exit. --no-pass-cache forces caching off;
 // --cache-stats prints the hit/miss/replay counters to stderr.
-// --verify-analyses cross-checks every pass's PreservedAnalyses
-// declaration by recomputation.
 //
 // --verify-bytecode additionally lowers every successful module to VM
 // bytecode and runs the static verifier (vm/verifier.h) over it: any
@@ -97,8 +94,7 @@ int listPasses() {
 int usage(const char *argv0) {
   std::printf(
       "usage: %s [file...] [--cuda] [--passes=PIPELINE] [--list-passes]\n"
-      "       [--timing] [--stats] [--verify-each] [--verify-analyses]\n"
-      "       [--verify-bytecode]\n"
+      "       [--timing] [--stats] [--verify-each] [--verify-bytecode]\n"
       "       [--pm-threads=N]\n"
       "       [--cache-dir=DIR] [--cache-limit=MB]\n"
       "       [--no-pass-cache] [--cache-stats]\n"
@@ -181,7 +177,6 @@ int optMain(int argc, char **argv) {
   bool timing = false;
   bool stats = false;
   bool verifyEach = false;
-  bool verifyAnalyses = false;
   bool verifyBytecode = false;
   bool noPassCache = false;
   bool cacheStats = false;
@@ -208,8 +203,6 @@ int optMain(int argc, char **argv) {
       stats = true;
     } else if (arg == "--verify-each") {
       verifyEach = true;
-    } else if (arg == "--verify-analyses") {
-      verifyAnalyses = true;
     } else if (arg == "--verify-bytecode") {
       verifyBytecode = true;
     } else if (arg == "--no-pass-cache") {
@@ -307,7 +300,6 @@ int optMain(int argc, char **argv) {
   so.threads = pmThreads;
   so.jobTimeoutSeconds = jobTimeoutSeconds;
   so.verifyEach = verifyEach;
-  so.verifyAnalyses = verifyAnalyses;
   so.collectTiming = timing;
   so.collectStatistics = stats;
   so.traceJsonPath = traceJsonPath;

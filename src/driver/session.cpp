@@ -317,24 +317,21 @@ bool CompilerSession::compileAll() {
     // "Batch scheduling" in the header): such batches drain on the
     // calling thread, where each module's chain runs to completion, in
     // job order, before the next module's leaf task starts.
-    bool oneModuleAtATime =
-        opts_.verifyAnalyses || bool(opts_.configurePassManager);
+    bool oneModuleAtATime = bool(opts_.configurePassManager);
     runtime::TaskScheduler sched(oneModuleAtATime ? nullptr : pool_.get());
     // Every group's graph goes onto the one scheduler: parse/keying
     // leaves and pass steps of all pipelines interleave freely, and each
     // job is marked done the moment its own chain completes.
     std::vector<std::shared_ptr<transforms::BatchDag>> states;
     for (Group &group : groups) {
-      // Instrumentation nesting: custom hooks outermost, then analysis
-      // verify, then verify-each.
+      // Instrumentation nesting: custom hooks outermost, then
+      // verify-each.
       transforms::PassManager &pm = *group.pm;
       pm.setResultCache(cache_);
       if (opts_.collectStatistics)
         pm.enableStatistics();
       if (opts_.configurePassManager)
         opts_.configurePassManager(pm);
-      if (opts_.verifyAnalyses)
-        pm.enableAnalysisVerify();
       if (opts_.verifyEach)
         pm.enableVerifyEach();
       if (opts_.collectTiming)

@@ -46,14 +46,12 @@
 // compiles at any thread count. Under --timing, per-worker clocks are folded
 // by (module, pass), so the report attributes true per-module per-pass time.
 //
-// With per-module instrumentation (verifyAnalyses, configurePassManager)
-// the same batch drains on the calling thread instead of the pool: on
-// one worker each module's chain runs to completion, in job order,
-// before the next module's leaf task starts, so the hooks observe one
-// module at a time. (The analysis cross-checker resets the shared
-// AnalysisManager after every pass, which is only sound while a single
-// module is in flight.) Such batches share the cache and get the same
-// per-step cancellation, deadline, and arena-cap checks.
+// With per-module instrumentation (configurePassManager) the same batch
+// drains on the calling thread instead of the pool: on one worker each
+// module's chain runs to completion, in job order, before the next
+// module's leaf task starts, so the hooks observe one module at a time.
+// Such batches share the cache and get the same per-step cancellation,
+// deadline, and arena-cap checks.
 //
 // Memory
 // ------
@@ -193,10 +191,6 @@ struct SessionOptions {
   /// Verify every module after every pass, attributing breakage to the
   /// pass; a broken module fails alone (job-level isolation).
   bool verifyEach = false;
-  /// Cross-check every pass's PreservedAnalyses declaration by
-  /// recomputation. Expensive; the batch drains on the calling thread,
-  /// one module at a time (see "Batch scheduling").
-  bool verifyAnalyses = false;
   /// Record per-pass wall-clock + IR-arena growth into timingReport().
   bool collectTiming = false;
   /// Also collect pass statistics needing extra IR walks
@@ -355,10 +349,10 @@ public:
   /// Compiles every job still queued: every pipeline group's DAG batch
   /// on one scheduler over the pool (see "Batch scheduling" above and
   /// PassManager::scheduleBatch). With per-module instrumentation
-  /// (verifyAnalyses, configurePassManager) the scheduler drains on the
-  /// calling thread, one module at a time. Already-compiled jobs are not
-  /// recompiled (a second compileAll is a no-op for them). Returns
-  /// whether every job in the session has compiled successfully.
+  /// (configurePassManager) the scheduler drains on the calling thread,
+  /// one module at a time. Already-compiled jobs are not recompiled (a
+  /// second compileAll is a no-op for them). Returns whether every job
+  /// in the session has compiled successfully.
   bool compileAll();
 
   /// Launches compileAll() on a background thread and returns

@@ -226,21 +226,6 @@ std::string RepeatPass::spec() const {
   return out + ")";
 }
 
-void RepeatPass::beginRun() {
-  for (auto &c : children_) {
-    c->setStatisticsEnabled(statisticsEnabled());
-    c->setAnalysisManager(getAnalysisManager());
-    c->beginRun();
-  }
-}
-
-PreservedAnalyses RepeatPass::preservedAnalyses() const {
-  PreservedAnalyses p = PreservedAnalyses::all();
-  for (const auto &c : children_)
-    p = p.intersect(c->preservedAnalyses());
-  return p;
-}
-
 bool RepeatPass::tracksIRChange() const {
   for (const auto &c : children_)
     if (!c->tracksIRChange())
@@ -250,7 +235,6 @@ bool RepeatPass::tracksIRChange() const {
 
 bool RepeatPass::runOnFunction(ir::Op *func, DiagnosticEngine &diag) {
   size_t errorsAtStart = diag.numErrors();
-  AnalysisManager *am = getAnalysisManager();
   const bool fixpoint = isFixpoint();
   // Exact per-call change flags drive convergence when every child
   // reports them; a non-tracking child degrades to comparing the printed
@@ -273,13 +257,6 @@ bool RepeatPass::runOnFunction(ir::Op *func, DiagnosticEngine &diag) {
           diag.numErrors() > errorsAtStart)
         return false;
       roundChanged |= threadIRChanged();
-      // The PassManager only invalidates between top-level passes; an
-      // analysis-consuming child must not see results a mutating sibling
-      // (or a previous round) left stale. The child's dynamic
-      // declaration is an OR across every function it has touched this
-      // run, which is conservative here.
-      if (am)
-        am->invalidate(func, c->preservedAnalyses());
     }
     anyChange |= roundChanged;
     if (!fixpoint)
@@ -395,53 +372,6 @@ std::string spanName(const char *prefix, const std::string &rest) {
 }
 
 } // namespace
-
-void AnalysisVerifyInstrumentation::beforePass(const Pass &, ModuleOp module) {
-  // Prime every analysis for every function so the after-pass check
-  // always has a pre-pass result to compare against.
-  for (ir::Op *op : module.body()) {
-    if (op->kind() != ir::OpKind::Func)
-      continue;
-    am_.getBarrier(op);
-    am_.getMemory(op);
-    am_.getAffine(op);
-  }
-}
-
-bool AnalysisVerifyInstrumentation::afterPass(const Pass &pass,
-                                              ModuleOp module,
-                                              DiagnosticEngine &diag) {
-  PreservedAnalyses preserved = pass.preservedAnalyses();
-  bool ok = true;
-  for (ir::Op *op : module.body()) {
-    if (op->kind() != ir::OpKind::Func)
-      continue;
-    auto check = [&](AnalysisKind k, uint64_t fresh) {
-      // No cached entry: the function is new (created or spliced in by
-      // the result cache during this pass) — nothing to compare.
-      std::optional<uint64_t> cached = am_.cachedFingerprint(op, k);
-      if (!cached || *cached == fresh)
-        return;
-      diag.error(SourceLoc(),
-                 "pass '" + pass.name() + "' declared analysis '" +
-                     analysisKindName(k) +
-                     "' preserved but it changed for function '" +
-                     ir::FuncOp(op).name() + "'");
-      ok = false;
-    };
-    if (preserved.isPreserved(AnalysisKind::Barrier))
-      check(AnalysisKind::Barrier, BarrierAnalysis::compute(op).fingerprint());
-    if (preserved.isPreserved(AnalysisKind::Memory))
-      check(AnalysisKind::Memory, MemoryAnalysis::compute(op).fingerprint());
-    if (preserved.isPreserved(AnalysisKind::Affine))
-      check(AnalysisKind::Affine, AffineAnalysis::compute(op).fingerprint());
-  }
-  // Drop everything; the next beforePass re-primes from the current IR,
-  // so each cross-check attributes exactly one pass. (Fingerprint
-  // equality is transitive, so per-pass checks imply chain validity.)
-  am_.clear();
-  return ok;
-}
 
 bool VerifyInstrumentation::afterPass(const Pass &pass, ModuleOp module,
                                       DiagnosticEngine &diag) {
@@ -564,11 +494,6 @@ void PassManager::enableIRPrinting(bool before, bool after,
       before, after, std::move(filter), out));
 }
 
-void PassManager::enableAnalysisVerify() {
-  addInstrumentation(
-      std::make_unique<AnalysisVerifyInstrumentation>(analysisManager_));
-}
-
 namespace {
 
 std::vector<ir::Op *> collectFuncs(ModuleOp module) {
@@ -635,7 +560,6 @@ bool PassManager::applyHit(ModuleOp module, ir::Op *func,
   ir::Op *replacement = spliceFunction(module, func, hit.ir);
   if (!replacement)
     return false;
-  analysisManager_.invalidate(func);
   st.irHash.erase(func);
   // A leftover lazy entry from an earlier pass would otherwise
   // materialize outdated IR over the spliced result at the next
@@ -655,9 +579,8 @@ ir::Op *PassManager::materialize(ModuleOp module, ir::Op *func,
   ir::Op *replacement = spliceFunction(module, func, text);
   if (!replacement)
     return nullptr;
-  // The old op (and its cached analyses) are gone; the hash chain
-  // continues under the replacement's identity.
-  analysisManager_.invalidate(func);
+  // The old op is gone; the hash chain continues under the
+  // replacement's identity.
   auto hashIt = st.irHash.find(func);
   if (hashIt != st.irHash.end()) {
     Hash128 h = hashIt->second;
@@ -873,18 +796,8 @@ bool BatchDag::enterStep(size_t i, Pass &pass) {
     fail(i);
     return false;
   }
-  if (pass.isFunctionPass()) {
+  if (pass.isFunctionPass())
     m.remaining = collectFuncs(module);
-  } else {
-    // A module pass may erase functions (inline), and a concurrent module
-    // could recycle a freed Op address the moment it is released — so
-    // the pre-run entries must be gone *before* the pass can free
-    // anything, or the recycled address would false-hit a stale analysis
-    // (or worse, invalidate a sibling's fresh entry afterwards). A cache
-    // hit replaces every function anyway.
-    for (ir::Op *func : collectFuncs(module))
-      pm_.analysisManager_.invalidate(func);
-  }
   m.stepOpen = true;
   for (auto &ins : pm_.instrumentations_)
     ins->beforePass(pass, module);
@@ -1083,12 +996,6 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     fail(i);
     return Step::Failed;
   }
-  // Drop what the pass did not preserve. Its *current* functions are
-  // ours alone, so this touches no sibling state (pre-run pointers may
-  // be dead — never revisit them).
-  PreservedAnalyses preserved = pass.preservedAnalyses();
-  for (ir::Op *func : collectFuncs(module))
-    pm_.analysisManager_.invalidate(func, preserved);
   if (cache) {
     m.st.irHash.clear();
     PassResultCache::Entry entry;
@@ -1327,7 +1234,6 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
       if (r.owned)
         cache->finishCompute(r.input, fan.spec);
     }
-    pm_.analysisManager_.invalidate(r.func, fan.pass->preservedAnalyses());
     m.remaining.erase(
         std::find(m.remaining.begin(), m.remaining.end(), r.func));
   }
@@ -1337,36 +1243,8 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
 std::shared_ptr<BatchDag>
 PassManager::scheduleBatch(runtime::TaskScheduler &sched,
                            std::vector<BatchItem> items, BatchOptions opts) {
-  // One beginRun per pass per batch, before any task runs: pass objects
-  // are shared by every module in flight, and their per-run state is
-  // already required to tolerate concurrent runOnFunction calls (a
-  // fanned step runs one pass across workers under a single beginRun);
-  // dynamic preservation only accumulates toward "changed more", i.e.
-  // stays conservative when modules interleave.
-  for (auto &pass : passes_) {
+  for (auto &pass : passes_)
     pass->setStatisticsEnabled(collectStats_);
-    pass->setAnalysisManager(&analysisManager_);
-    pass->beginRun();
-  }
-  // Entries from an earlier run must not survive into this one (a fresh
-  // func allocated at a recycled Op address would false-hit them). When
-  // every module is already parsed, entries primed for the batch's own
-  // functions are kept; otherwise the parse leaves have not produced the
-  // functions yet — drop everything.
-  std::vector<ir::Op *> funcs;
-  bool allParsed = true;
-  for (const BatchItem &item : items) {
-    if (!item.module) {
-      allParsed = false;
-      break;
-    }
-    for (ir::Op *func : collectFuncs(ModuleOp(item.module)))
-      funcs.push_back(func);
-  }
-  if (allParsed)
-    analysisManager_.retainOnly(funcs);
-  else
-    analysisManager_.clear();
 
   auto dag = std::shared_ptr<BatchDag>(
       new BatchDag(*this, sched, std::move(opts)));

@@ -5,18 +5,16 @@
 //  - FunctionPass: a pass that runs independently on each func, making it
 //    schedulable across kernels in parallel on the runtime thread pool.
 //  - Instrumentation: hooks around every pass execution. Built-ins cover
-//    --print-ir-before/after, verify-after-each-pass with a "pass X broke
-//    invariant Y" diagnostic, and the preserved-analyses cross-checker.
+//    --print-ir-before/after and verify-after-each-pass with a "pass X
+//    broke invariant Y" diagnostic.
 //    Per-pass wall-clock and IR-arena timing (enableTiming) is collected
 //    by the executor itself.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
 //    and executes it through one engine, BatchDag: a dependency DAG of
 //    (module, pass) steps on a work-stealing runtime::TaskScheduler.
 //    scheduleBatch runs many modules at once; run() is a batch of one.
-//    It threads an AnalysisManager (transforms/analysis_manager.h)
-//    through the pipeline — invalidating per each pass's
-//    PreservedAnalyses — and optionally a PassResultCache
-//    (transforms/pass_cache.h) that replays cached IR for unchanged
+//    It optionally threads a PassResultCache (transforms/pass_cache.h)
+//    through the pipeline, replaying cached IR for unchanged
 //    (function, pass) pairs instead of re-running passes.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
@@ -28,7 +26,6 @@
 #include "ir/ophelpers.h"
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "transforms/analysis_manager.h"
 #include "transforms/pass_cache.h"
 
 #include <atomic>
@@ -70,9 +67,8 @@ public:
   virtual bool isFunctionPass() const { return false; }
 
   // IR-change tracking --------------------------------------------------------
-  // Passes that know exactly when they mutate IR (the same bookkeeping
-  // that backs their dynamic PreservedAnalyses refinement) report each
-  // mutating call through a thread-local flag, so composite passes
+  // Passes whose transform reports whether it fired note each mutating
+  // call through a thread-local flag, so composite passes
   // (repeat{until=fixpoint}) can detect per-function convergence even
   // while sibling workers run the same pass objects on other functions.
 
@@ -91,27 +87,6 @@ public:
   /// Module-scope entry point. Returns false on a hard error (which must
   /// also be reported through `diag`).
   virtual bool run(ModuleOp module, DiagnosticEngine &diag) = 0;
-
-  // Preserved analyses --------------------------------------------------------
-
-  /// Called by the PassManager immediately before each execution; passes
-  /// with dynamic preservation reset their per-run state here.
-  virtual void beginRun() {}
-
-  /// The analyses this pass's *last* execution kept valid; everything
-  /// else is invalidated by the PassManager afterwards. The default is
-  /// maximally conservative. Passes may refine the answer dynamically
-  /// (e.g. return all() when the run changed nothing) — the declaration
-  /// is cross-checked by recomputation under --verify-analyses.
-  virtual PreservedAnalyses preservedAnalyses() const {
-    return PreservedAnalyses::none();
-  }
-
-  /// The AnalysisManager of the owning PassManager, set for the duration
-  /// of a pipeline run; null when the pass runs standalone. Cached
-  /// results obtained from it are valid by construction (stale results
-  /// were invalidated after the pass that broke them).
-  void setAnalysisManager(AnalysisManager *am) { analysisManager_ = am; }
 
   // Options -------------------------------------------------------------------
   // Subclasses declare options in their constructor; the registry's
@@ -162,8 +137,14 @@ public:
   /// Statistics whose collection needs extra IR walks (before/after op
   /// counts) are only gathered when enabled; counters that fall out of
   /// the transform itself are always collected. PassManager toggles this
-  /// per run (see PassManager::enableStatistics).
-  void setStatisticsEnabled(bool on) { statsEnabled_ = on; }
+  /// per run (see PassManager::enableStatistics); a composite pass
+  /// forwards the setting to its children.
+  void setStatisticsEnabled(bool on) {
+    statsEnabled_ = on;
+    if (const auto *children = childPasses())
+      for (const auto &c : *children)
+        c->setStatisticsEnabled(on);
+  }
   bool statisticsEnabled() const { return statsEnabled_; }
 
 protected:
@@ -181,8 +162,6 @@ protected:
   /// Passes call this from runOnFunction when they mutated IR (see
   /// tracksIRChange).
   static void noteIRChanged();
-
-  AnalysisManager *getAnalysisManager() const { return analysisManager_; }
 
 private:
   struct Option {
@@ -204,7 +183,6 @@ private:
   std::vector<Option> options_;
   std::vector<std::unique_ptr<Statistic>> stats_;
   bool statsEnabled_ = false;
-  AnalysisManager *analysisManager_ = nullptr;
 };
 
 /// A pass that transforms one function at a time and never looks outside
@@ -229,8 +207,7 @@ public:
 /// compared against the previous round's. Children must be function
 /// passes (the repeat is then itself schedulable per function, and
 /// cacheable as one unit whose spec covers the whole body); the registry
-/// rejects module passes inside repeat. Preserves the intersection of
-/// what every child preserved.
+/// rejects module passes inside repeat.
 class RepeatPass : public FunctionPass {
 public:
   RepeatPass();
@@ -241,8 +218,6 @@ public:
   const std::vector<std::unique_ptr<Pass>> *childPasses() const override {
     return &children_;
   }
-  void beginRun() override;
-  PreservedAnalyses preservedAnalyses() const override;
   bool runOnFunction(ir::Op *func, DiagnosticEngine &diag) override;
   /// Exact iff every child is exact (then a repeat nests inside an
   /// enclosing fixpoint repeat without forcing the print fallback).
@@ -340,26 +315,6 @@ public:
                  DiagnosticEngine &diag) override;
 };
 
-/// Cross-checks PreservedAnalyses declarations by recomputation: before
-/// every pass, primes every analysis for every function; after the pass,
-/// recomputes each analysis the pass declared preserved and compares
-/// fingerprints against the cached (pre-pass) result. A mismatch reports
-///   pass 'X' declared analysis 'Y' preserved but it changed for
-///   function 'f'
-/// and aborts the pipeline. Entries are re-primed from the current IR
-/// each pass, so every lie is attributed to exactly the pass that told
-/// it. Expensive by design; enable for validation runs.
-class AnalysisVerifyInstrumentation : public Instrumentation {
-public:
-  explicit AnalysisVerifyInstrumentation(AnalysisManager &am) : am_(am) {}
-  void beforePass(const Pass &pass, ModuleOp module) override;
-  bool afterPass(const Pass &pass, ModuleOp module,
-                 DiagnosticEngine &diag) override;
-
-private:
-  AnalysisManager &am_;
-};
-
 /// Prints the IR before/after passes to `out` (default stderr). An empty
 /// filter matches every pass; otherwise only passes whose name equals the
 /// filter are printed.
@@ -451,17 +406,9 @@ public:
   void enableIRPrinting(bool before, bool after, std::string filter = "",
                         std::FILE *out = stderr);
 
-  /// Installs the preserved-analyses cross-checker (see
-  /// AnalysisVerifyInstrumentation).
-  void enableAnalysisVerify();
-
   /// Also collect the statistics that need extra IR walks (off by
   /// default so compile hot paths pay nothing for unread counters).
   void enableStatistics() { collectStats_ = true; }
-
-  /// The per-function analysis cache threaded through every pass of this
-  /// manager. Invalidation follows each pass's preservedAnalyses().
-  AnalysisManager &analysisManager() { return analysisManager_; }
 
   /// Attaches a pass-result cache (owned by the caller; shareable across
   /// PassManagers and threads). When set, each pass execution is keyed on
@@ -593,7 +540,6 @@ private:
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
   unsigned threads_ = 1;
   bool collectStats_ = false;
-  AnalysisManager analysisManager_;
   PassResultCache *cache_ = nullptr;
   PassTimingReport *timing_ = nullptr;
 };
@@ -658,9 +604,8 @@ private:
   void startModule(size_t i, unsigned worker);
   void advance(size_t i, unsigned worker);
   /// Opens the module's step for `pass`: materializes pending replays
-  /// when a hook inspects the pass, drops the analyses a module pass may
-  /// orphan, and runs every beforePass hook. False when the module
-  /// failed (fail(i) has run).
+  /// when a hook inspects the pass and runs every beforePass hook. False
+  /// when the module failed (fail(i) has run).
   bool enterStep(size_t i, Pass &pass);
   /// Closes the open step: every afterPass hook, in reverse installation
   /// order. False when a hook aborted or reported an error.

@@ -15,24 +15,16 @@
 //     -> omp-lower{collapse,fuse,hoist,inner-serialize,outer-only}
 //          collapse / fusion / hoisting / inner serialization (§IV-D)
 //
-// Caching & analyses (transforms/analysis_manager.h, pass_cache.h):
+// Result caching (transforms/pass_cache.h):
 //
-//   The PassManager threads an AnalysisManager through the stages above.
-//   Every pass declares the analyses its execution preserved
-//   (PreservedAnalyses over {barrier, memory, affine}); the cheap cleanup
-//   stages refine the declaration dynamically ("changed nothing this
-//   run => preserved everything"), so e.g. barrier results computed once
-//   survive the canonicalize/cse pairs instead of being recomputed per
-//   stage. Declarations are cross-checked by recomputation under
-//   PassManager::enableAnalysisVerify (SessionOptions::verifyAnalyses,
-//   --verify-analyses).
-//
-//   Independently, a PassResultCache (PassManager::setResultCache; the
-//   session's cache options, --cache-dir) keys every pass execution on (canonical pass spec, hash of the
-//   function's printed IR) and replays cached output IR for hits:
-//   recompiling an unchanged kernel through an unchanged pipeline prefix
-//   executes zero transform passes, and ablation sweeps whose stages
-//   diverge at pass k re-run only from k onwards.
+//   A PassResultCache (PassManager::setResultCache; the session's cache
+//   options, --cache-dir) keys every pass execution on (canonical pass
+//   spec, structural hash of the function's IR) and replays cached
+//   output IR for hits: recompiling an unchanged kernel through an
+//   unchanged pipeline prefix executes zero transform passes, and
+//   ablation sweeps whose stages diverge at pass k re-run only from k
+//   onwards. Passes themselves keep no analysis state between runs:
+//   each computes what it needs (analysis/) from the IR it is handed.
 //
 // Every stage is exposed three ways:
 //   1. a legacy free function (runCanonicalize(...)), kept for tests and

@@ -15,7 +15,7 @@ namespace {
 /// repeat{n=2}(canonicalize,cse): one round folds and deduplicates, the
 /// second mops up what the first exposed (a cheap fixpoint surrogate —
 /// both passes are internally idempotent, so round two is usually a
-/// no-op that preserves all analyses).
+/// no-op).
 std::unique_ptr<Pass> createCleanupPair() {
   auto pair = std::make_unique<RepeatPass>();
   pair->addChild(createCanonicalizePass());

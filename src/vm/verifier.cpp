@@ -570,6 +570,14 @@ private:
     case BC::ScopePush:
     case BC::ScopePop:
       break;
+    default:
+      // Neither the interpreter nor the flow layer's transfer functions
+      // have a case for an unknown opcode.
+      error(fnIdx, pc,
+            "opcode " + std::to_string(unsigned(in.op)) +
+                " outside the BC enum (last is ScopePop = " +
+                std::to_string(unsigned(BC::ScopePop)) + ")");
+      break;
     }
   }
 
@@ -715,8 +723,8 @@ private:
 
   /// Per-function control-flow facts that do not depend on register
   /// typestates, computed once per function: block leaders (pc 0, every
-  /// jump target, and every pc after a Jump, JumpIfFalse, Ret or an
-  /// opcode outside the enum) and the ScopePush depth on entry to each.
+  /// jump target, and every pc after a Jump, JumpIfFalse or Ret) and the
+  /// ScopePush depth on entry to each.
   /// A leader's depth is the one the first arrival of a breadth-first
   /// walk over the pc successor graph brings; it clashes when any
   /// reachable edge brings a different depth.
@@ -731,7 +739,7 @@ private:
   };
 
   /// Successor pcs of `in` at `pc` exactly as transfer() feeds them to
-  /// flowInto (an opcode outside the enum has none).
+  /// flowInto.
   template <typename F> static void forEachSucc(const Instr &in, size_t pc,
                                                 F &&f) {
     switch (in.op) {
@@ -745,8 +753,7 @@ private:
     case BC::Ret:
       return;
     default:
-      if (in.op <= BC::ScopePop)
-        f(pc + 1);
+      f(pc + 1);
       return;
     }
   }
@@ -762,7 +769,7 @@ private:
       if (in.op == BC::Jump || in.op == BC::JumpIfFalse)
         isLeader[static_cast<size_t>(in.imm)] = 1;
       if (in.op == BC::Jump || in.op == BC::JumpIfFalse ||
-          in.op == BC::Ret || in.op > BC::ScopePop)
+          in.op == BC::Ret)
         isLeader[pc + 1] = 1;
     }
     g.slotOf.assign(n + 1, -1);

@@ -3,12 +3,13 @@
 // daemon serving cached artifacts) without per-access dynamic checking.
 //
 // Two layers (see verifier.cpp):
-//  - Layer 1 (structural): every jump target lands on an instruction
-//    boundary inside its function, every register index (a/b/c/d, extras
-//    ranges, closure capture/bound registers) is < numRegs, every
-//    extras[b..b+c) range is in bounds, shape/closure/callee imm indices
-//    are valid, Call/Ret arities match the callee's numArgs/numResults,
-//    and closure numIvs is consistent with its bound vectors.
+//  - Layer 1 (structural): every opcode is a BC enumerator, every jump
+//    target lands on an instruction boundary inside its function, every
+//    register index (a/b/c/d, extras ranges, closure capture/bound
+//    registers) is < numRegs, every extras[b..b+c) range is in bounds,
+//    shape/closure/callee imm indices are valid, Call/Ret arities match
+//    the callee's numArgs/numResults, and closure numIvs is consistent
+//    with its bound vectors.
 //  - Layer 2 (flow-sensitive, interprocedural): a worklist abstract
 //    interpretation over the CFG induced by Jump/JumpIfFalse propagates
 //    a per-register typestate lattice (Uninit / Int / Float / Scalar /

@@ -345,13 +345,14 @@ TEST(CancellationTest, ArenaCapFailsJobWithCleanDiagnostic) {
 }
 
 TEST(CancellationTest, InstrumentedPathEnforcesArenaCapPerPass) {
-  // verifyAnalyses compiles each job alone, as a DAG batch of one: the
-  // arena cap is polled at every pass boundary like the batch path's,
-  // so the breach is attributed to a pass, not to the whole pipeline.
+  // A configurePassManager hook compiles each job alone, as a DAG batch
+  // of one: the arena cap is polled at every pass boundary like the
+  // batch path's, so the breach is attributed to a pass, not to the
+  // whole pipeline.
   const auto &suite = rodinia::suite();
   transforms::PassResultCache cache;
   driver::SessionOptions so = batchOptions(2, &cache);
-  so.verifyAnalyses = true;
+  so.configurePassManager = [](transforms::PassManager &) {};
   so.maxArenaBytesPerModule = 1;
   driver::CompilerSession session(std::move(so));
   auto &job = session.addSource("capped", suite[0].cudaSource);

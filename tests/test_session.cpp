@@ -347,9 +347,9 @@ TEST(SessionTest, FrontendViewMatchesCompileForSimt) {
 }
 
 TEST(SessionTest, InstrumentedBatchObservesOneModuleAtATime) {
-  // Per-module instrumentation (verifyAnalyses, configurePassManager)
-  // drains the batch on the calling thread even with a 4-thread pool:
-  // every hook sees one module at a time, modules in job order.
+  // Per-module instrumentation (configurePassManager) drains the batch
+  // on the calling thread even with a 4-thread pool: every hook sees one
+  // module at a time, modules in job order.
   struct StepProbe : transforms::Instrumentation {
     std::mutex *mu = nullptr;
     std::vector<ir::Op *> *steps = nullptr;
@@ -382,7 +382,6 @@ TEST(SessionTest, InstrumentedBatchObservesOneModuleAtATime) {
     std::FILE *out = std::fopen(path.c_str(), "wb");
     ASSERT_NE(out, nullptr) << path;
     driver::SessionOptions so = batchOptions(threads, nullptr);
-    so.verifyAnalyses = true;
     so.configurePassManager = [&](transforms::PassManager &pm) {
       pm.enableIRPrinting(/*before=*/false, /*after=*/true, "cpuify", out);
       auto probe = std::make_unique<StepProbe>();

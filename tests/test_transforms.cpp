@@ -8,6 +8,7 @@
 #include "ir/verifier.h"
 #include "transforms/mincut.h"
 #include "transforms/passes.h"
+#include "transforms/registry.h"
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,38 @@ void run(float* a) { k<<<1, 32>>>(a); }
   OwnedModule m = frontendIR(src);
   runBarrierElim(m.get());
   EXPECT_EQ(countOps(m.op(), OpKind::Barrier), 0);
+}
+
+TEST(BarrierElimTest, AdjacentBarriersCollapseToOneRequired) {
+  // Of the two adjacent barriers, the first orders nothing against its
+  // empty after-set and goes; the second, judged with the first gone,
+  // separates the a[tx] write from the a[tx + 1] read and stays. The
+  // standalone entry point and the pass-manager pipeline must agree.
+  const char *src = R"(
+__global__ void k(float* a, float* b) {
+  int tx = threadIdx.x;
+  a[tx] = 1.0f * tx;
+  __syncthreads();
+  __syncthreads();
+  if (tx < 31) {
+    b[tx] = a[tx + 1];
+  }
+}
+void run(float* a, float* b) { k<<<1, 32>>>(a, b); }
+)";
+  OwnedModule standalone = frontendIR(src);
+  ASSERT_EQ(countOps(standalone.op(), OpKind::Barrier), 2);
+  runMem2Reg(standalone.get());
+  runBarrierElim(standalone.get());
+  EXPECT_EQ(countOps(standalone.op(), OpKind::Barrier), 1);
+
+  OwnedModule piped = frontendIR(src);
+  runMem2Reg(piped.get());
+  DiagnosticEngine diag;
+  PassManager pm;
+  ASSERT_TRUE(buildPipelineFromSpec(pm, "barrier-elim", diag)) << diag.str();
+  ASSERT_TRUE(pm.run(piped.get(), diag)) << diag.str();
+  EXPECT_EQ(countOps(piped.op(), OpKind::Barrier), 1);
 }
 
 //===----------------------------------------------------------------------===//

@@ -132,6 +132,20 @@ TEST(VerifierStructural, RetArityMismatch) {
   expectError(r, 1, "Ret returns 1 values but the function declares 2");
 }
 
+TEST(VerifierStructural, OutOfEnumOpcode) {
+  // The interpreter steps over an opcode it has no case for, so unless
+  // the opcode itself is rejected the Load through an int register
+  // behind it runs.
+  BCFunction f;
+  f.numRegs = 2;
+  f.instrs = {ins(BC::ConstI, 0, 0, 0, /*d=*/0, 42),
+              ins(static_cast<BC>(200)),
+              ins(BC::Load, /*a=*/0, 0, /*c=*/0, /*d=*/1), ins(BC::Ret)};
+  VerifyResult r = verifyModule(singleFn(std::move(f)));
+  expectError(r, 1, "opcode 200 outside the BC enum");
+  EXPECT_EQ(r.errors.size(), 1u) << r.str();
+}
+
 TEST(VerifierStructural, BadShapeIndex) {
   BCFunction f;
   f.numRegs = 1;
@@ -780,7 +794,18 @@ uint64_t splitmix(uint64_t &s) {
   return z ^ (z >> 31);
 }
 
-enum class Field { Opcode, A, B, C, D, Imm, JumpTarget, Extras, kCount };
+enum class Field {
+  Opcode,
+  A,
+  B,
+  C,
+  D,
+  Imm,
+  JumpTarget,
+  Extras,
+  OutOfEnumOpcode,
+  kCount
+};
 
 /// Overwrites one field of one instruction (or one extras entry) of a
 /// random function in `m`, drawn from `seed`. Register-like values are
@@ -820,10 +845,13 @@ std::string mutate(BCModule &m, Field field, uint64_t seed) {
   std::string where = "fn " + std::to_string(fi) + " pc " + std::to_string(pc);
   switch (field) {
   case Field::Opcode:
-    // In-enum values only: the verifier does not yet reject an opcode
-    // outside BC.
     in.op = static_cast<BC>(splitmix(seed) % (size_t(BC::ScopePop) + 1));
     return where + " op=" + std::to_string(int(in.op));
+  case Field::OutOfEnumOpcode: {
+    constexpr size_t kFirst = size_t(BC::ScopePop) + 1;
+    in.op = static_cast<BC>(kFirst + splitmix(seed) % (256 - kFirst));
+    return where + " op=" + std::to_string(int(in.op));
+  }
   case Field::A:
     in.a = regLike();
     return where + " a=" + std::to_string(in.a);
@@ -857,7 +885,8 @@ std::string mutate(BCModule &m, Field field, uint64_t seed) {
 /// Mutants per (module, pipeline) pair and field.
 constexpr int kMutantsPerField = 8;
 
-/// Every mutant of the soak, in a fixed order: "<job> <mutation>".
+/// Every mutant of the soak, in a fixed order: "<job> <mutation>" plus
+/// the field it corrupted.
 template <typename F> void forEachMutant(F &&visit) {
   const auto &mods = variantModules();
   for (size_t j = 0; j < mods.size(); ++j)
@@ -867,7 +896,7 @@ template <typename F> void forEachMutant(F &&visit) {
         uint64_t seed = (uint64_t(j) << 32) ^ (uint64_t(f) << 16) ^ uint64_t(k);
         std::string label =
             mods[j].first + " " + mutate(m, Field(f), seed);
-        visit(label, m);
+        visit(label, m, Field(f));
       }
 }
 
@@ -876,7 +905,8 @@ template <typename F> void forEachMutant(F &&visit) {
 TEST(VerifierMutationSoak, EveryMutantGetsAStableAttributedVerdict) {
   ASSERT_EQ(variantModules().size(), rodinia::suite().size() * 4);
   size_t mutants = 0, rejected = 0;
-  forEachMutant([&](const std::string &label, const BCModule &m) {
+  forEachMutant([&](const std::string &label, const BCModule &m,
+                    Field field) {
     ++mutants;
     VerifyResult first = verifyModule(m);
     VerifyResult second = verifyModule(m);
@@ -887,6 +917,15 @@ TEST(VerifierMutationSoak, EveryMutantGetsAStableAttributedVerdict) {
       ASSERT_LT(e.fnIndex, m.fns.size()) << label << ": " << e.str();
       EXPECT_TRUE(e.pc == VerifyError::kNoPc ||
                   e.pc < m.fns[e.fnIndex].instrs.size())
+          << label << ": " << e.str();
+    }
+    // The only corruption is the opcode, so it is the only error, and it
+    // is attributed to the corrupted instruction.
+    if (field == Field::OutOfEnumOpcode) {
+      ASSERT_EQ(first.errors.size(), 1u) << label << ": " << first.str();
+      const VerifyError &e = first.errors.front();
+      EXPECT_GT(unsigned(e.op), unsigned(BC::ScopePop)) << label;
+      EXPECT_NE(e.reason.find("outside the BC enum"), std::string::npos)
           << label << ": " << e.str();
     }
   });
