@@ -1,7 +1,7 @@
-// Shared harness utilities for the figure-reproduction benchmarks.
-// Each bench binary prints the rows/series of one paper table or figure;
-// absolute numbers are interpreter-scale (see EXPERIMENTS.md), the
-// comparisons are the reproduction target.
+// Shared harness utilities for the benchmarks. bench_paper prints the
+// paper's figures; absolute numbers are interpreter-scale (every kernel
+// runs on the bytecode interpreter, not as native code), so the
+// comparisons between pipelines are the reproduction target.
 #pragma once
 
 #include "ir/ophelpers.h"
@@ -106,11 +106,9 @@ private:
   std::vector<Row> agg_;
 };
 
-/// The suite's frontend output, parsed once and cloned per pipeline run
-/// (re-running lexer/parser/irgen per stage wastes most of an ablation
-/// sweep's compile time). Benchmarks whose frontend failed are marked
-/// invalid and skipped by the consumers (never fed into the pipeline or
-/// the executor).
+/// The suite's frontend output, parsed once and cloned per pipeline run.
+/// Benchmarks whose frontend failed are marked invalid and skipped by the
+/// consumers (never fed into the pipeline or the executor).
 struct SuiteModules {
   std::vector<ir::OwnedModule> modules; ///< rodinia::suite() order
   std::vector<char> valid;              ///< parallel to modules
@@ -159,16 +157,14 @@ makeSuiteSession(unsigned threads = 1,
 }
 
 /// Runs the optimization pipeline over clones of the pre-parsed suite
-/// through one batch session with per-pass timing enabled; `cache`
-/// (optional) is the shared pass-result cache exercised across stages,
-/// `threads` the session's worker pool.
+/// through one single-worker batch session, without a pass cache, with
+/// per-pass timing enabled.
 inline PassTimeAggregator
 timeSuiteCompiles(const transforms::PipelineOptions &opts,
-                  const SuiteModules &suite,
-                  transforms::PassResultCache *cache = nullptr,
-                  unsigned threads = 1) {
+                  const SuiteModules &suite) {
   driver::CompilerSession session =
-      makeSuiteSession(threads, cache, /*collectTiming=*/true);
+      makeSuiteSession(/*threads=*/1, /*cache=*/nullptr,
+                       /*collectTiming=*/true);
   size_t idx = 0;
   for (const auto &b : rodinia::suite()) {
     size_t i = idx++;
@@ -185,13 +181,6 @@ timeSuiteCompiles(const transforms::PipelineOptions &opts,
   PassTimeAggregator agg;
   agg.add(session.timingReport());
   return agg;
-}
-
-/// Legacy entry point: parses the suite on every call.
-inline PassTimeAggregator
-timeSuiteCompiles(const transforms::PipelineOptions &opts) {
-  SuiteModules suite = parseSuiteModules();
-  return timeSuiteCompiles(opts, suite);
 }
 
 /// Compiles every suite benchmark's CUDA source through one batch
@@ -239,61 +228,6 @@ inline double timeCompiled(const rodinia::Benchmark &b, ir::ModuleOp module,
   exec.setNumThreads(threads);
   exec.setNestedPolicy(innerSerialize ? runtime::NestedPolicy::Serialize
                                       : runtime::NestedPolicy::Spawn);
-  return medianKernelTime(
-      [&] { return b.makeWorkload(scale); },
-      [&](rodinia::Workload &w) { exec.run("run", w.args()); }, reps);
-}
-
-/// As timeCuda below, but starting from a pre-parsed module (cloned, so
-/// the original stays reusable across stages), compiled through a
-/// single-job session.
-inline double timeCudaModule(const rodinia::Benchmark &b,
-                             ir::ModuleOp parsed,
-                             const transforms::PipelineOptions &opts,
-                             int scale, unsigned threads, int reps = 3) {
-  driver::CompilerSession session = makeSuiteSession();
-  driver::CompileJob &job =
-      session.addModule(b.id, ir::cloneModule(parsed), opts);
-  if (!session.compileAll()) {
-    std::fprintf(stderr, "compile failed for %s:\n%s\n", b.id.c_str(),
-                 job.diagnostics().str().c_str());
-    return -1;
-  }
-  return timeCompiled(b, job.result().module.get(), opts.innerSerialize,
-                      scale, threads, reps);
-}
-
-/// Compiles a Rodinia benchmark's CUDA source with the given options and
-/// returns the median time of running `run` on a workload of `scale`.
-inline double timeCuda(const rodinia::Benchmark &b,
-                       const transforms::PipelineOptions &opts, int scale,
-                       unsigned threads, int reps = 3) {
-  DiagnosticEngine diag;
-  auto cc = driver::compile(b.cudaSource, opts, diag);
-  if (!cc.ok) {
-    std::fprintf(stderr, "compile failed for %s:\n%s\n", b.id.c_str(),
-                 diag.str().c_str());
-    return -1;
-  }
-  return timeCompiled(b, cc.module.get(), opts.innerSerialize, scale,
-                      threads, reps);
-}
-
-inline double timeOpenmp(const rodinia::Benchmark &b, int scale,
-                         unsigned threads, int reps = 3) {
-  if (!b.openmpSource)
-    return -1;
-  DiagnosticEngine diag;
-  transforms::PipelineOptions opts;
-  auto cc = driver::compile(b.openmpSource, opts, diag);
-  if (!cc.ok) {
-    std::fprintf(stderr, "compile failed for %s (omp):\n%s\n", b.id.c_str(),
-                 diag.str().c_str());
-    return -1;
-  }
-  driver::Executor exec(cc.module.get(), std::max(threads, 8u),
-                        /*boundsCheck=*/false);
-  exec.setNumThreads(threads);
   return medianKernelTime(
       [&] { return b.makeWorkload(scale); },
       [&](rodinia::Workload &w) { exec.run("run", w.args()); }, reps);

@@ -14,8 +14,6 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace paralift;
 using namespace paralift::bench;
 
@@ -26,8 +24,7 @@ double timeCompile(const rodinia::Benchmark &b,
   return medianTime(
       [&] {
         DiagnosticEngine diag;
-        auto cc = driver::compile(b.cudaSource, opts, diag);
-        benchmark::DoNotOptimize(cc.ok);
+        driver::compile(b.cudaSource, opts, diag);
       },
       3);
 }
@@ -50,7 +47,8 @@ void printTable() {
 void printPassBreakdown() {
   std::printf("\n=== Per-pass compile time, full pipeline (seconds, summed "
               "over suite) ===\n\n");
-  timeSuiteCompiles(transforms::PipelineOptions{}).print();
+  timeSuiteCompiles(transforms::PipelineOptions{}, parseSuiteModules())
+      .print();
 
   std::printf("\n=== Compile throughput vs --pm-threads, serial per-module "
               "(whole suite, seconds) ===\n\n");
@@ -61,10 +59,8 @@ void printPassBreakdown() {
             DiagnosticEngine diag;
             driver::SessionOptions so;
             so.threads = threads;
-            auto cc = driver::compile(b.cudaSource,
-                                      transforms::PipelineOptions{}, diag,
-                                      std::move(so));
-            benchmark::DoNotOptimize(cc.ok);
+            driver::compile(b.cudaSource, transforms::PipelineOptions{},
+                            diag, std::move(so));
           }
         },
         3);
@@ -98,7 +94,7 @@ SchedulerMeasurement measureSuiteSession(unsigned threads, int reps = 7) {
       jobs.push_back(&session.addSource(b.id, b.cudaSource,
                                         transforms::PipelineOptions{}));
     double t0 = now();
-    benchmark::DoNotOptimize(session.compileAll());
+    session.compileAll();
     SchedulerMeasurement m;
     m.wallSeconds = now() - t0;
     std::vector<double> lats;
@@ -140,7 +136,7 @@ SuiteSessionTable printSuiteSessionMode() {
   std::printf("\n=== Suite-session batch compile, DAG scheduling (whole "
               "suite, seconds) ===\n");
   std::printf("(hardware: %u cores; wall-clock wins need >1 — job-latency "
-              "wins appear even on 1 — see EXPERIMENTS.md)\n\n",
+              "wins appear even on 1)\n\n",
               std::thread::hardware_concurrency());
   // The serial baseline goes through one-shot sessions rather than
   // driver::compile so every mode ignores $PARALIFT_CACHE_DIR — the
@@ -151,10 +147,9 @@ SuiteSessionTable printSuiteSessionMode() {
       [&] {
         for (const auto &b : rodinia::suite()) {
           driver::CompilerSession session = makeSuiteSession();
-          auto &job = session.addSource(b.id, b.cudaSource,
-                                        transforms::PipelineOptions{});
+          session.addSource(b.id, b.cudaSource,
+                            transforms::PipelineOptions{});
           session.compileAll();
-          benchmark::DoNotOptimize(job.ok());
         }
       },
       3);
@@ -426,35 +421,15 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-void BM_CompileBackprop(benchmark::State &state) {
-  const auto *b = rodinia::find("backprop_layerforward");
-  transforms::PipelineOptions opts;
-  for (auto _ : state) {
-    DiagnosticEngine diag;
-    auto cc = driver::compile(b->cudaSource, opts, diag);
-    benchmark::DoNotOptimize(cc.ok);
-  }
-}
-BENCHMARK(BM_CompileBackprop)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char **argv) {
-  // Strip --json=FILE before google-benchmark sees (and rejects) it.
   std::string jsonPath;
-  {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--json=", 0) == 0)
-        jsonPath = arg.substr(7);
-      else
-        argv[w++] = argv[i];
-    }
-    argc = w;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) == 0)
+      jsonPath = arg.substr(7);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   printTable();
   printPassBreakdown();
   SuiteSessionTable sessionTable = printSuiteSessionMode();

@@ -234,11 +234,10 @@ struct SessionOptions {
   std::optional<std::string> pipelineSpec;
 
   /// Called on every PassManager the session builds, before the
-  /// analysis-verify, verify-each and timing hooks are installed — the
-  /// hook for bespoke instrumentation (paralift-opt's
-  /// --print-ir-before/after). Setting it drains the batch on the
-  /// calling thread, so the hooks observe one module at a time, in job
-  /// order (see "Batch scheduling").
+  /// verify-each and timing hooks are installed — the hook for bespoke
+  /// instrumentation (paralift-opt's --print-ir-before/after). Setting
+  /// it drains the batch on the calling thread, so the hooks observe one
+  /// module at a time, in job order (see "Batch scheduling").
   std::function<void(transforms::PassManager &)> configurePassManager;
 
   /// Invoked the moment each job's compile finishes (after its future

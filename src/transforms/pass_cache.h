@@ -10,12 +10,11 @@
 // (Entry::outputHash), which becomes the next pass's input key; replayed
 // and executed passes therefore advance identical hash chains. Two
 // pipelines sharing a prefix share every prefix entry, and an ablation
-// sweep whose stages diverge only at pass k re-runs from pass k onwards —
-// the O(changed work) property bench_fig13_ablation exploits. Byte
-// hashing (hashBytes) survives only where text is the object itself: the
-// spec+salt key component and the on-disk payload integrity check
-// (replay splices stored text, so the stored text is what must be
-// intact).
+// sweep whose stages diverge only at pass k re-runs from pass k onwards,
+// so recompiling costs O(changed work). Byte hashing (hashBytes) survives
+// only where text is the object itself: the spec+salt key component and
+// the on-disk payload integrity check (replay splices stored text, so the
+// stored text is what must be intact).
 //
 // Granularity: function passes cache one entry per function (editing one
 // function only misses its own entries); module passes (inline, and any
