@@ -16,11 +16,28 @@
 #include <chrono>
 #include <thread>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace paralift::bench {
+
+/// The one flag bench_vm and bench_compile take: --json=FILE. Any other
+/// argument, or an empty FILE, prints a usage line and exits 2, so a
+/// mistyped flag cannot run the suite and silently write nothing.
+inline std::string parseJsonPathArg(int argc, char **argv) {
+  std::string jsonPath;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) != 0 || arg.size() == 7) {
+      std::fprintf(stderr, "usage: %s [--json=FILE]\n", argv[0]);
+      std::exit(2);
+    }
+    jsonPath = arg.substr(7);
+  }
+  return jsonPath;
+}
 
 inline double now() {
   using namespace std::chrono;

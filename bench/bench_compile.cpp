@@ -424,12 +424,7 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0)
-      jsonPath = arg.substr(7);
-  }
+  std::string jsonPath = parseJsonPathArg(argc, argv);
   printTable();
   printPassBreakdown();
   SuiteSessionTable sessionTable = printSuiteSessionMode();

@@ -109,12 +109,7 @@ void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[kConfigs],
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0)
-      jsonPath = arg.substr(7);
-  }
+  std::string jsonPath = parseJsonPathArg(argc, argv);
 
   // Compile the whole suite once (full pipeline, shared batch session,
   // no env cache) and lower each module to bytecode.

@@ -5,14 +5,12 @@
 // work into O(N) (§IV-C).
 //
 // The embedding API is driver::CompilerSession: queue sources with
-// addSource (each returns a CompileJob future), compile them all —
-// batched across one worker pool, optionally asynchronously — and read
-// per-job results/diagnostics. This example runs one session on the
-// one-pass "inline-kernels" pipeline (the §III frontend view) and one
-// optimizing session started with compileAllAsync(), preparing the input
-// data while the compiler works. For exactly one module the one-shot
-// wrapper driver::compile(source, opts, diag) does the same thing with
-// less ceremony.
+// addSource (each returns a CompileJob handle), compile them all —
+// batched across one worker pool — and read per-job results/diagnostics.
+// This example runs one session on the one-pass "inline-kernels" pipeline
+// (the §III frontend view) and one on the full optimizing pipeline. For
+// exactly one module the one-shot wrapper driver::compile(source, opts,
+// diag) does the same thing with less ceremony.
 //
 // Build & run:  ./build/examples/quickstart
 #include "driver/compiler.h"
@@ -61,19 +59,11 @@ int main() {
               "parallel nest) ====\n%s\n",
               ir::printOp(frontendJob.result().module.op()).c_str());
 
-  // 2. Full pipeline, asynchronously: the session compiles in the
-  // background while this thread prepares the input data.
+  // 2. Full pipeline.
   driver::CompilerSession session{driver::SessionOptions{}};
   auto &job = session.addSource("quickstart.cu", kSource,
                                 transforms::PipelineOptions{});
-  session.compileAllAsync();
-
-  int n = 10;
-  std::vector<float> in(n), out(n, 0.0f);
-  std::iota(in.begin(), in.end(), 1.0f); // 1..10, sum = 55
-
-  // 3. Await the future and execute.
-  if (!job.ok()) { // wait()s, then reports
+  if (!session.compileAll()) {
     std::printf("pipeline failed:\n%s\n", job.diagnostics().str().c_str());
     return 1;
   }
@@ -81,6 +71,10 @@ int main() {
               "ONCE, before omp.parallel) ====\n%s\n",
               ir::printOp(job.result().module.op()).c_str());
 
+  // 3. Execute.
+  int n = 10;
+  std::vector<float> in(n), out(n, 0.0f);
+  std::iota(in.begin(), in.end(), 1.0f); // 1..10, sum = 55
   driver::Executor exec(job.result().module.get(), /*maxThreads=*/2);
   exec.run("launch", {driver::Executor::bufferF32(out.data(), {n}),
                       driver::Executor::bufferF32(in.data(), {n}),

@@ -4,15 +4,15 @@
 // The primary interface is driver::CompilerSession (driver/session.h): a
 // long-lived object owning the shared thread pool, pass-result cache,
 // and run configuration, compiling any number of modules — batched, so
-// every queued module's function passes schedule across one pool, and
-// asynchronously, with CompileJob futures. Suites, benchmarks, and
-// embedders compiling more than one module should hold a session:
+// every queued module's function passes schedule across one pool. Suites,
+// benchmarks, and embedders compiling more than one module should hold a
+// session:
 //
 //   driver::SessionOptions so;
 //   so.threads = 4;                 // one pool for the whole suite
 //   driver::CompilerSession session(so);
 //   auto &job = session.addSource("vecnorm.cu", source);
-//   session.compileAll();           // or compileAllAsync() + job.wait()
+//   session.compileAll();
 //   driver::Executor exec(job.result().module.get(), /*maxThreads=*/8);
 //   exec.run("launch", {Executor::buffer(out), Executor::buffer(in),
 //                       int64_t(n)});

@@ -6,8 +6,7 @@
 //   paralift-opt [file...] [--cuda] [--passes=PIPELINE] [--list-passes]
 //                [--timing] [--stats] [--verify-each] [--verify-bytecode]
 //                [--pm-threads=N]
-//                [--cache-dir=DIR] [--cache-limit=MB]
-//                [--no-pass-cache] [--cache-stats]
+//                [--cache-dir=DIR] [--no-pass-cache] [--cache-stats]
 //                [--trace-json=FILE] [--metrics[=FILE]]
 //                [--print-ir-before[=PASS]] [--print-ir-after[=PASS]]
 //                [--job-timeout=SECONDS] [--failpoints=SPEC]
@@ -33,7 +32,7 @@
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'
 //   paralift-opt a.cu b.cu c.cu --cuda --pm-threads=4
-//     --passes='repeat{until=fixpoint}(canonicalize,cse),cpuify,omp-lower'
+//     --passes='repeat{n=2}(canonicalize,cse),cpuify,omp-lower'
 //
 // Batches schedule as a dependency DAG (each file parses, keys, and runs
 // its passes as an independent task chain on the --pm-threads pool;
@@ -42,10 +41,10 @@
 //
 // Pass results are cached persistently under --cache-dir (or
 // $PARALIFT_CACHE_DIR when set): re-running an unchanged file through an
-// unchanged pipeline replays cached IR instead of executing passes.
-// --cache-limit=<MB> (or $PARALIFT_CACHE_LIMIT) bounds the on-disk store,
-// sweeping oldest entries at exit. --no-pass-cache forces caching off;
-// --cache-stats prints the hit/miss/replay counters to stderr.
+// unchanged pipeline replays cached IR instead of executing passes. The
+// store is never evicted; delete the directory to reclaim it.
+// --no-pass-cache forces caching off; --cache-stats prints the
+// hit/miss/replay counters to stderr.
 //
 // --verify-bytecode additionally lowers every successful module to VM
 // bytecode and runs the static verifier (vm/verifier.h) over it: any
@@ -67,6 +66,7 @@
 #include "ir/verifier.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 #include "transforms/registry.h"
 #include "vm/compile.h"
 #include "vm/verifier.h"
@@ -96,8 +96,7 @@ int usage(const char *argv0) {
       "usage: %s [file...] [--cuda] [--passes=PIPELINE] [--list-passes]\n"
       "       [--timing] [--stats] [--verify-each] [--verify-bytecode]\n"
       "       [--pm-threads=N]\n"
-      "       [--cache-dir=DIR] [--cache-limit=MB]\n"
-      "       [--no-pass-cache] [--cache-stats]\n"
+      "       [--cache-dir=DIR] [--no-pass-cache] [--cache-stats]\n"
       "       [--trace-json=FILE] [--metrics[=FILE]]\n"
       "       [--print-ir-before[=PASS]] [--print-ir-after[=PASS]]\n"
       "       [--job-timeout=SECONDS] [--failpoints=SPEC]\n"
@@ -148,6 +147,28 @@ double parsePositiveSeconds(const std::string &value) {
   }
 }
 
+/// Writes the --trace-json and --metrics sinks when destroyed. optMain
+/// declares it right after the session, so it runs at every exit while
+/// the session's jobs (and their arenas) are still alive.
+struct ObservabilitySinks {
+  std::string traceJsonPath;
+  bool metricsToStderr = false;
+  std::string metricsJsonPath;
+
+  ~ObservabilitySinks() {
+    if (!traceJsonPath.empty())
+      trace::writeJson(traceJsonPath);
+    auto &reg = metrics::MetricsRegistry::instance();
+    if (metricsToStderr)
+      std::fprintf(stderr, "%s", reg.textSnapshot().c_str());
+    if (!metricsJsonPath.empty()) {
+      std::ofstream os(metricsJsonPath, std::ios::binary | std::ios::trunc);
+      if (os)
+        os << reg.jsonSnapshot();
+    }
+  }
+};
+
 int optMain(int argc, char **argv);
 
 } // namespace
@@ -184,7 +205,6 @@ int optMain(int argc, char **argv) {
   bool metricsToStderr = false;
   std::string metricsJsonPath;
   std::string cacheDir;
-  long long cacheLimitMB = 0;
   bool printBefore = false, printAfter = false;
   std::string printBeforeFilter, printAfterFilter;
   unsigned pmThreads = 1;
@@ -227,15 +247,6 @@ int optMain(int argc, char **argv) {
       cacheDir = arg.substr(12);
       if (cacheDir.empty()) {
         std::fprintf(stderr, "error: --cache-dir requires a path\n");
-        return 2;
-      }
-    } else if (arg.rfind("--cache-limit=", 0) == 0) {
-      cacheLimitMB = parsePositive(arg.substr(14));
-      if (cacheLimitMB < 1) {
-        std::fprintf(stderr,
-                     "error: invalid --cache-limit value '%s' (expected a "
-                     "positive MB count)\n",
-                     arg.substr(14).c_str());
         return 2;
       }
     } else if (arg == "--print-ir-before") {
@@ -302,34 +313,17 @@ int optMain(int argc, char **argv) {
   so.verifyEach = verifyEach;
   so.collectTiming = timing;
   so.collectStatistics = stats;
-  so.traceJsonPath = traceJsonPath;
-  so.metricsToStderr = metricsToStderr;
-  so.metricsJsonPath = metricsJsonPath;
   // --cuda inputs run the frontend, then device-function inlining (the
   // frontend view compileForSimt produces), then the explicit pipeline.
   so.pipelineSpec = cuda ? (passes.empty() ? std::string("inline-kernels")
                                            : "inline-kernels," + passes)
                          : passes;
-  // --cache-dir (or $PARALIFT_CACHE_DIR) enables the persistent
-  // pass-result cache; --no-pass-cache wins over both. The env dir is
-  // resolved here — not via the session's process-wide fallback — so
-  // --cache-limit applies to it too.
-  if (noPassCache) {
+  // --cache-dir (or the session's $PARALIFT_CACHE_DIR fallback) enables
+  // the persistent pass-result cache; --no-pass-cache wins over both.
+  if (noPassCache)
     so.useEnvCache = false;
-    if (cacheLimitMB)
-      std::fprintf(stderr, "warning: --cache-limit has no effect with "
-                           "--no-pass-cache\n");
-  } else {
-    if (cacheDir.empty())
-      if (const char *env = std::getenv("PARALIFT_CACHE_DIR"))
-        cacheDir = env;
+  else
     so.cacheDir = cacheDir;
-    so.cacheLimitMB = static_cast<uint64_t>(cacheLimitMB);
-    if (cacheLimitMB && cacheDir.empty())
-      std::fprintf(stderr,
-                   "warning: --cache-limit has no effect without "
-                   "--cache-dir (or $PARALIFT_CACHE_DIR)\n");
-  }
   // IR printing observes one module at a time; setting the hook makes
   // the session compile the files one after another.
   if (printBefore || printAfter)
@@ -344,7 +338,10 @@ int optMain(int argc, char **argv) {
                             printAfterFilter);
     };
 
+  if (!traceJsonPath.empty())
+    trace::enable();
   driver::CompilerSession session(std::move(so));
+  ObservabilitySinks sinks{traceJsonPath, metricsToStderr, metricsJsonPath};
 
   // Queue every input. With no file, stdin is the single input.
   if (paths.empty())
@@ -413,8 +410,8 @@ int optMain(int argc, char **argv) {
       rc = 1;
       continue;
     }
-    // Successful jobs may still carry warnings (e.g. a fixpoint repeat
-    // hitting its round cap); surface them instead of dropping them.
+    // Successful jobs may still carry warnings; surface them instead of
+    // dropping them.
     if (!job->diagnostics().diagnostics().empty())
       std::fprintf(stderr, "%s", job->diagnostics().str().c_str());
     if (jobs.size() > 1)

@@ -9,9 +9,9 @@
 #include "transforms/registry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 namespace paralift::driver {
 
@@ -37,27 +37,12 @@ SessionMetrics &sessionMetrics() {
 // Environment-driven process-wide cache
 //===----------------------------------------------------------------------===//
 
-uint64_t envCacheLimitMB() {
-  const char *v = std::getenv("PARALIFT_CACHE_LIMIT");
-  if (!v || !*v)
-    return 0;
-  char *end = nullptr;
-  unsigned long long mb = std::strtoull(v, &end, 10);
-  if (end == v || *end)
-    return 0;
-  return mb;
-}
-
 transforms::PassResultCache *envPassResultCache() {
   static transforms::PassResultCache *cache = [] {
     const char *dir = std::getenv("PARALIFT_CACHE_DIR");
     if (!dir || !*dir)
       return static_cast<transforms::PassResultCache *>(nullptr);
-    // Function-local static: destroyed at process exit, which runs the
-    // disk-limit sweep after the (earlier-registered) stats atexit hook.
     static transforms::PassResultCache instance{std::string(dir)};
-    if (uint64_t mb = envCacheLimitMB())
-      instance.setDiskLimitBytes(mb << 20);
     const char *stats = std::getenv("PARALIFT_CACHE_STATS");
     if (stats && *stats && std::string(stats) != "0")
       std::atexit([] {
@@ -77,33 +62,28 @@ bool CompileJob::ready() const {
   return state_ == State::Done;
 }
 
-void CompileJob::wait() const {
-  std::unique_lock<std::mutex> lock(session_->mutex_);
-  session_->cv_.wait(lock, [this] { return state_ == State::Done; });
-}
-
 CompileResult &CompileJob::result() {
-  wait();
+  assert(ready() && "job read before a compileAll covered it");
   return result_;
 }
 
 CompileResult CompileJob::take() {
-  wait();
+  assert(ready() && "job read before a compileAll covered it");
   return std::move(result_);
 }
 
 const DiagnosticEngine &CompileJob::diagnostics() {
-  wait();
+  assert(ready() && "job read before a compileAll covered it");
   return diag_;
 }
 
 bool CompileJob::ok() {
-  wait();
+  assert(ready() && "job read before a compileAll covered it");
   return result_.ok;
 }
 
 double CompileJob::latencySeconds() {
-  wait();
+  assert(ready() && "job read before a compileAll covered it");
   std::lock_guard<std::mutex> lock(session_->mutex_);
   return latencySeconds_;
 }
@@ -121,9 +101,6 @@ CompilerSession::CompilerSession(SessionOptions opts)
   } else if (!opts_.cacheDir.empty()) {
     ownedCache_ =
         std::make_unique<transforms::PassResultCache>(opts_.cacheDir);
-    uint64_t mb = opts_.cacheLimitMB ? opts_.cacheLimitMB : envCacheLimitMB();
-    if (mb)
-      ownedCache_->setDiskLimitBytes(mb << 20);
     cache_ = ownedCache_.get();
   } else if (opts_.memoryCache) {
     ownedCache_ = std::make_unique<transforms::PassResultCache>();
@@ -131,28 +108,9 @@ CompilerSession::CompilerSession(SessionOptions opts)
   } else if (opts_.useEnvCache) {
     cache_ = envPassResultCache();
   }
-  if (!opts_.traceJsonPath.empty())
-    trace::enable();
 }
 
-CompilerSession::~CompilerSession() {
-  if (asyncThread_.joinable())
-    asyncThread_.join();
-  // Tracing is left enabled (overlapping sessions and $PARALIFT_TRACE
-  // compose); writeJson snapshots whatever has been published so far.
-  if (!opts_.traceJsonPath.empty())
-    trace::writeJson(opts_.traceJsonPath);
-  if (opts_.metricsToStderr)
-    std::fprintf(stderr, "%s",
-                 metrics::MetricsRegistry::instance().textSnapshot().c_str());
-  if (!opts_.metricsJsonPath.empty()) {
-    std::ofstream os(opts_.metricsJsonPath,
-                     std::ios::binary | std::ios::trunc);
-    if (os)
-      os << metrics::MetricsRegistry::instance().jsonSnapshot();
-  }
-  // ownedCache_'s destructor sweeps the disk bound (cacheLimitMB).
-}
+CompilerSession::~CompilerSession() = default;
 
 CompileJob &CompilerSession::addSource(std::string name, std::string source,
                                        transforms::PipelineOptions pipeline) {
@@ -211,9 +169,6 @@ void CompilerSession::markDone(CompileJob &job, bool ok) {
   SessionMetrics &m = sessionMetrics();
   (ok ? m.jobsCompleted : m.jobsFailed).add();
   m.jobLatency.observe(latency);
-  cv_.notify_all();
-  if (opts_.onJobCompleted)
-    opts_.onJobCompleted(job);
 }
 
 bool CompilerSession::runFrontendOne(CompileJob &job) {
@@ -375,7 +330,7 @@ bool CompilerSession::compileAll() {
     // Containment sweep: a task chain severed mid-batch (an exception
     // contained by the scheduler's worker loop, e.g. an injected
     // "scheduler.task" fault) leaves its job un-resolved even though
-    // run() drained. Every future must resolve, so any job still not
+    // run() drained. Every job must resolve, so any job still not
     // Done here failed — attribute and mark it.
     for (CompileJob *job : batch) {
       bool done;
@@ -398,25 +353,6 @@ bool CompilerSession::compileAll() {
       for (Group &group : groups)
         pms_.push_back(std::move(group.pm));
   }
-  // Keep a long-lived session within its disk budget between batches:
-  // without this, --cache-limit only bound the store at session shutdown
-  // and a compile-server-style session could grow unboundedly mid-run.
-  // No-op unless the resolved cache has a directory and a limit (the
-  // stores themselves also auto-sweep once they exceed half the limit).
-  if (cache_)
-    cache_->evictToDiskLimit();
-  return ok();
-}
-
-void CompilerSession::compileAllAsync() {
-  if (asyncThread_.joinable())
-    asyncThread_.join();
-  asyncThread_ = std::thread([this] { compileAll(); });
-}
-
-bool CompilerSession::wait() {
-  if (asyncThread_.joinable())
-    asyncThread_.join();
   return ok();
 }
 

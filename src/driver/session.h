@@ -1,19 +1,17 @@
-// CompilerSession: the batch, multi-module, asynchronous embedding API of
-// the ParaLift compiler.
+// CompilerSession: the batch, multi-module embedding API of the ParaLift
+// compiler.
 //
 // A session is a long-lived object owning everything that should be
 // shared across compiles instead of rebuilt per call: the runtime
 // ThreadPool that schedules function passes (and whole-batch work), the
 // PassResultCache, and the run configuration (threads, verification,
-// timing, cache bounds). Sources are queued with addSource (each returns
+// timing, deadlines). Sources are queued with addSource (each returns
 // a CompileJob handle carrying a per-module DiagnosticEngine stamped with
 // the module's name), then compileAll() compiles every queued module —
 // scheduling *all* modules' function passes across the one pool, so
 // parallel compilation stays busy even when each module holds only one
-// or two kernels (the Rodinia shape). compileAllAsync() runs the same
-// batch on a background thread; CompileJob::wait()/result() are the
-// futures that let callers overlap their own work (workload setup,
-// parsing more sources) with compilation.
+// or two kernels (the Rodinia shape). A job's result, diagnostics and
+// latency are read after the compileAll that covered it returns.
 //
 //   driver::CompilerSession session({.threads = 4});
 //   auto &a = session.addSource("a.cu", srcA, PipelineOptions{});
@@ -37,11 +35,12 @@
 // per (module, pass) step, with fan-out per function inside a step when
 // several functions miss the cache. The only edges are each module's own
 // pipeline order, so module B's kernels run pass 3 while module A is still
-// parsing, and each CompileJob future resolves the moment *its* module's
-// last pass (or terminal cache splice) completes rather than at end of
-// batch. In-batch dedup of identical kernels flows through the shared
-// cache's in-flight registry: the first claimant executes, concurrent
-// duplicates park and replay its stored entry. Pass execution is
+// parsing, and each CompileJob is marked done (its latencySeconds()
+// stamped) the moment *its* module's last pass (or terminal cache splice)
+// completes rather than at end of batch. In-batch dedup of identical
+// kernels flows through the shared cache's in-flight registry: the first
+// claimant executes, concurrent duplicates park and replay its stored
+// entry. Pass execution is
 // deterministic per input, so outputs are bit-for-bit identical to serial
 // compiles at any thread count. Under --timing, per-worker clocks are folded
 // by (module, pass), so the report attributes true per-module per-pass time.
@@ -81,19 +80,18 @@
 // The compiler carries a unified tracing + metrics layer (support/trace.h,
 // support/metrics.h); sessions are its main driver:
 //
-//  - Tracing. SessionOptions::traceJsonPath enables the process-wide
-//    trace recorder for the session's lifetime and writes a Chrome
-//    trace_event JSON file ("catapult" format — load in about://tracing
-//    or Perfetto) at session destruction. Each worker thread is a named
-//    lane ("worker-N"); every job contributes an async span from batch
-//    start to job completion, nested over its frontend parse span, one
-//    span per (module, pass) step annotated with the cache outcome
-//    ("cache: run" vs "cache: replay"), per-function fan-out spans, and
-//    cache disk-IO/eviction spans. $PARALIFT_TRACE=FILE does the same
-//    process-wide without API involvement (written at exit), and
-//    trace::enable()/writeJson() are available for embedders. When
-//    disabled (the default), instrumentation costs one relaxed atomic
-//    load per site — the recorder is compiled in but never buffers.
+//  - Tracing. With the process-wide trace recorder enabled
+//    (trace::enable(), or $PARALIFT_TRACE=FILE, written at exit), a
+//    session's compiles land in the Chrome trace_event JSON that
+//    trace::writeJson() writes ("catapult" format — load in
+//    about://tracing or Perfetto; --trace-json=FILE at the CLI). Each
+//    worker thread is a named lane ("worker-N"); every job contributes
+//    an async span from batch start to job completion, nested over its
+//    frontend parse span, one span per (module, pass) step annotated
+//    with the cache outcome ("cache: run" vs "cache: replay"),
+//    per-function fan-out spans, and cache disk-IO spans. When disabled
+//    (the default), instrumentation costs one relaxed atomic load per
+//    site — the recorder is compiled in but never buffers.
 //
 // Failure semantics
 // -----------------
@@ -104,15 +102,15 @@
 //  - Job vs batch vs process. Any failure inside one job's compile — a
 //    frontend error, a throwing pass, a verifier rejection, an injected
 //    fault (support/failpoint.h), a breached arena cap, a cancelled or
-//    timed-out token — fails *that job only*: its future resolves with
+//    timed-out token — fails *that job only*: it resolves with
 //    ok() == false and at least one diagnostic attributing the failure
 //    (module name, failing pass or stage, reason). The rest of the batch
-//    compiles normally, every CompileJob::wait() returns, compileAll()
-//    returns, and the process never terminates on a job failure.
-//    Exceptions escaping a scheduler task are additionally contained by
-//    the worker loop itself (scheduler.task_exceptions metric); any job
-//    whose task chain was severed that way is swept and marked failed
-//    when the batch drains, so futures still resolve.
+//    compiles normally, compileAll() returns with every job ready(), and
+//    the process never terminates on a job failure. Exceptions escaping
+//    a scheduler task are additionally contained by the worker loop
+//    itself (scheduler.task_exceptions metric); any job whose task chain
+//    was severed that way is swept and marked failed when the batch
+//    drains, so every job still resolves.
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
@@ -141,14 +139,13 @@
 //
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
-//    "cache.*" (hits/misses/stores/waits/disk/evictions), "scheduler.*"
+//    "cache.*" (hits/misses/stores/waits/disk), "scheduler.*"
 //    (tasks/steals/injects/parks/idle-wakeups), "session.*" (jobs
 //    completed/failed, job-latency histogram), "pm.pass_seconds",
 //    "pass.<pass>.<stat>" (mirrors of every Pass::Statistic), and
 //    "arena.reserved_bytes" (live IR slab bytes; .peak tracks the
-//    high-water mark). SessionOptions::metricsToStderr prints the text
-//    snapshot at session destruction; metricsJsonPath writes the JSON
-//    snapshot (--metrics / --metrics=FILE at the CLI). The registry is
+//    high-water mark). MetricsRegistry::textSnapshot()/jsonSnapshot()
+//    render it (--metrics / --metrics=FILE at the CLI). The registry is
 //    process-global on purpose: one snapshot shows cache, scheduler,
 //    arena, and per-pass activity side by side, regardless of how many
 //    sessions produced it.
@@ -159,14 +156,12 @@
 #include "transforms/passes.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace paralift::runtime {
@@ -210,20 +205,19 @@ struct SessionOptions {
 
   // Cache resolution, first match wins:
   //   1. `cache`     — caller-owned, shareable across sessions;
-  //   2. `cacheDir`  — session-owned persistent cache rooted there;
+  //   2. `cacheDir`  — session-owned persistent cache rooted there
+  //      (--cache-dir at the CLI);
   //   3. `memoryCache` — session-owned in-memory cache;
   //   4. $PARALIFT_CACHE_DIR (unless useEnvCache is false) — the
   //      process-wide cache, shared by every session and one-shot
   //      wrapper in the process;
   //   5. none.
+  // A disk cache is never evicted: it grows until its user deletes the
+  // directory.
   transforms::PassResultCache *cache = nullptr;
   std::string cacheDir;
   bool memoryCache = false;
   bool useEnvCache = true;
-  /// LRU disk bound (MB) for a session-owned cacheDir cache, swept at
-  /// session shutdown; 0 falls back to $PARALIFT_CACHE_LIMIT, then
-  /// unbounded. (--cache-limit at the CLI.)
-  uint64_t cacheLimitMB = 0;
 
   /// When set: run this textual pipeline (registry syntax, e.g.
   /// "inline,repeat(canonicalize,cse),cpuify") instead of the standard
@@ -239,33 +233,14 @@ struct SessionOptions {
   /// it drains the batch on the calling thread, so the hooks observe one
   /// module at a time, in job order (see "Batch scheduling").
   std::function<void(transforms::PassManager &)> configurePassManager;
-
-  /// Invoked the moment each job's compile finishes (after its future
-  /// resolves), on whatever thread completed it — mid-batch, per module.
-  /// Completion-order probes and schedulers hang off this; keep it cheap
-  /// and do not call back into compileAll from it.
-  std::function<void(CompileJob &)> onJobCompleted;
-
-  // Observability (see the "Observability" section above):
-  /// When set, enable the process-wide trace recorder for the session's
-  /// lifetime and write Chrome trace_event JSON here at session
-  /// destruction (--trace-json=FILE at the CLI). Tracing stays enabled
-  /// afterwards; overlapping sessions and $PARALIFT_TRACE compose.
-  std::string traceJsonPath;
-  /// Print the MetricsRegistry text snapshot to stderr at session
-  /// destruction (--metrics at the CLI).
-  bool metricsToStderr = false;
-  /// Write the MetricsRegistry JSON snapshot here at session
-  /// destruction (--metrics=FILE at the CLI).
-  std::string metricsJsonPath;
 };
 
 class CompilerSession;
 
 /// Handle for one queued module; owned by (and referencing) the session,
-/// valid until the session is destroyed. wait()/result() are futures:
-/// they block until the job has been compiled by compileAll (possibly
-/// running on the session's background thread).
+/// valid until the session is destroyed. result(), take(), diagnostics(),
+/// ok() and latencySeconds() may only be called once a compileAll has
+/// covered the job (asserted).
 class CompileJob {
 public:
   const std::string &name() const { return name_; }
@@ -273,28 +248,24 @@ public:
     return pipelineOpts_;
   }
 
-  /// True once the job has a result (never blocks).
+  /// True once a compileAll has resolved the job (successfully or not).
   bool ready() const;
-  /// Blocks until the job has been compiled. A job that was never passed
-  /// through compileAll() blocks until some later compileAll() covers it.
-  void wait() const;
 
-  /// wait(), then the compiled module. Valid until the session dies or
-  /// take() moves it out.
+  /// The compiled module. Valid until the session dies or take() moves
+  /// it out.
   CompileResult &result();
-  /// wait(), then moves the result out of the job.
+  /// Moves the result out of the job.
   CompileResult take();
-  /// wait(), then this job's diagnostics (each stamped with the module
-  /// name handed to addSource).
+  /// This job's diagnostics (each stamped with the module name handed to
+  /// addSource).
   const DiagnosticEngine &diagnostics();
-  /// wait(), then whether frontend + pipeline + final verification all
-  /// succeeded.
+  /// Whether frontend + pipeline + final verification all succeeded.
   bool ok();
 
-  /// wait(), then the seconds from the start of the compileAll batch
-  /// that compiled this job to the moment its future resolved. Jobs
-  /// resolve incrementally, so the mean/median over a batch measures
-  /// job-completion latency (bench_compile reports both).
+  /// Seconds from the start of the compileAll batch that compiled this
+  /// job to the moment it was marked done. Jobs resolve incrementally,
+  /// so the mean/median over a batch measures job-completion latency
+  /// (bench_compile reports both).
   double latencySeconds();
 
   /// Requests cooperative cancellation of this job (thread-safe,
@@ -329,8 +300,6 @@ private:
 class CompilerSession {
 public:
   explicit CompilerSession(SessionOptions opts = {});
-  /// Joins any background batch, then sweeps the owned cache's disk
-  /// bound (see SessionOptions::cacheLimitMB).
   ~CompilerSession();
   CompilerSession(const CompilerSession &) = delete;
   CompilerSession &operator=(const CompilerSession &) = delete;
@@ -354,12 +323,6 @@ public:
   /// in the session has compiled successfully.
   bool compileAll();
 
-  /// Launches compileAll() on a background thread and returns
-  /// immediately; use CompileJob::wait()/result() or wait() to join.
-  void compileAllAsync();
-  /// Joins a pending compileAllAsync (no-op otherwise); returns ok().
-  bool wait();
-
   size_t jobCount() const;
   CompileJob &job(size_t i);
 
@@ -369,8 +332,8 @@ public:
   /// Per-pass timing accumulated across every compile this session ran
   /// (SessionOptions::collectTiming): one record per (module, pass) step
   /// that executed, in module then pipeline order. Blocks while a batch
-  /// (including a compileAllAsync one) is in flight; the reference is
-  /// stable until the next compileAll starts.
+  /// is in flight; the reference is stable until the next compileAll
+  /// starts.
   const transforms::PassTimingReport &timingReport() const;
   /// Rendered statistics of every pipeline this session ran
   /// (SessionOptions::collectStatistics). Blocks while a batch is in
@@ -405,13 +368,11 @@ private:
   transforms::PassResultCache *cache_ = nullptr;
 
   mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
   std::deque<std::unique_ptr<CompileJob>> jobs_;
 
   /// Serializes compileAll runs, and gates the timing/statistics
   /// accessors against a batch mutating those structures mid-run.
   mutable std::mutex compileMutex_;
-  std::thread asyncThread_;
   /// Start of the in-flight (or last) batch; job completion latencies
   /// are measured from here. Written at batch start, before any job of
   /// the batch can complete.
@@ -422,14 +383,10 @@ private:
   std::vector<std::unique_ptr<transforms::PassManager>> pms_;
 };
 
-/// The process-wide cache activated by $PARALIFT_CACHE_DIR (bounded by
-/// $PARALIFT_CACHE_LIMIT MB), shared by every session and one-shot
-/// wrapper in the process; null when the variable is unset. With
-/// $PARALIFT_CACHE_STATS=1 its stats line is printed to stderr at
-/// process exit.
+/// The process-wide cache activated by $PARALIFT_CACHE_DIR, shared by
+/// every session and one-shot wrapper in the process; null when the
+/// variable is unset. With $PARALIFT_CACHE_STATS=1 its stats line is
+/// printed to stderr at process exit.
 transforms::PassResultCache *envPassResultCache();
-
-/// $PARALIFT_CACHE_LIMIT in MB; 0 when unset or unparseable.
-uint64_t envCacheLimitMB();
 
 } // namespace paralift::driver

@@ -18,8 +18,8 @@
 // cross-thread job lifetimes together by id; counter events ('C') chart
 // a value over time.
 //
-// Enable programmatically (trace::enable()), via SessionOptions, or by
-// setting $PARALIFT_TRACE=FILE which also writes the JSON at process
+// Enable programmatically (trace::enable(); paralift-opt's --trace-json),
+// or by setting $PARALIFT_TRACE=FILE which also writes the JSON at process
 // exit.
 #pragma once
 

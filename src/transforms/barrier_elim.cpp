@@ -47,14 +47,9 @@ public:
         erased_(&statistic("barriers-erased")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    unsigned erased = barrierElimRoot(func);
-    *erased_ += erased;
-    if (erased)
-      noteIRChanged();
+    *erased_ += barrierElimRoot(func);
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *erased_;

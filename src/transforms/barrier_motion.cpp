@@ -123,14 +123,9 @@ public:
         moved_(&statistic("barriers-moved")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    unsigned moved = barrierMotionRoot(func);
-    *moved_ += moved;
-    if (moved)
-      noteIRChanged();
+    *moved_ += barrierMotionRoot(func);
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *moved_;

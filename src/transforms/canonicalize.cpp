@@ -406,10 +406,8 @@ bool canonicalizeOp(Op *op) {
   }
 }
 
-/// Runs canonicalization to fixpoint; returns whether any fold fired —
-/// the exact per-call signal repeat{until=fixpoint} consumes.
-bool canonicalizeRoot(Op *root) {
-  bool ever = false;
+/// Runs canonicalization to fixpoint.
+void canonicalizeRoot(Op *root) {
   bool changed = true;
   while (changed) {
     changed = false;
@@ -420,9 +418,7 @@ bool canonicalizeRoot(Op *root) {
         return;
       changed |= canonicalizeOp(op);
     });
-    ever |= changed;
   }
-  return ever;
 }
 
 class CanonicalizePass : public FunctionPass {
@@ -433,22 +429,17 @@ public:
         removed_(&statistic("ops-removed")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    bool any;
     if (!statisticsEnabled()) {
-      any = canonicalizeRoot(func);
+      canonicalizeRoot(func);
     } else {
       size_t before = countNestedOps(func);
-      any = canonicalizeRoot(func);
+      canonicalizeRoot(func);
       size_t after = countNestedOps(func);
       if (after < before)
         *removed_ += before - after;
     }
-    if (any)
-      noteIRChanged();
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *removed_;

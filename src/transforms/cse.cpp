@@ -85,8 +85,7 @@ public:
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
     size_t before = statisticsEnabled() ? countNestedOps(func) : 0;
     std::vector<ScopeMap> scopes;
-    if (cseBlock(FuncOp(func).body(), scopes))
-      noteIRChanged();
+    cseBlock(FuncOp(func).body(), scopes);
     if (statisticsEnabled()) {
       size_t after = countNestedOps(func);
       if (after < before)
@@ -94,8 +93,6 @@ public:
     }
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *removed_;

@@ -158,14 +158,9 @@ public:
         hoistRounds_(&statistic("hoist-rounds")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    unsigned rounds = licmRoot(func);
-    *hoistRounds_ += rounds;
-    if (rounds)
-      noteIRChanged();
+    *hoistRounds_ += licmRoot(func);
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *hoistRounds_;

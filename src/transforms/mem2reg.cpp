@@ -194,8 +194,7 @@ private:
   Type elemType_;
 };
 
-size_t mem2regRoot(Op *root, Pass::Statistic *promoted) {
-  size_t count = 0;
+void mem2regRoot(Op *root, Pass::Statistic *promoted) {
   // Collect candidates first: promotion mutates the region structure.
   bool changed = true;
   while (changed) {
@@ -210,7 +209,6 @@ size_t mem2regRoot(Op *root, Pass::Statistic *promoted) {
       Promoter p(a);
       if (p.canPromote()) {
         p.promote();
-        ++count;
         if (promoted)
           *promoted += 1;
         changed = true;
@@ -218,7 +216,6 @@ size_t mem2regRoot(Op *root, Pass::Statistic *promoted) {
       }
     }
   }
-  return count;
 }
 
 class Mem2RegPass : public FunctionPass {
@@ -229,12 +226,9 @@ public:
         promoted_(&statistic("allocas-promoted")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    if (mem2regRoot(func, promoted_))
-      noteIRChanged();
+    mem2regRoot(func, promoted_);
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *promoted_;

@@ -4,7 +4,6 @@
 #include "support/metrics.h"
 #include "support/trace.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -38,8 +37,6 @@ struct CacheCounters {
   metrics::Counter &passesExecuted;
   metrics::Counter &passesReplayed;
   metrics::Counter &waits;
-  metrics::Counter &evictedFiles;
-  metrics::Counter &evictedBytes;
 };
 
 CacheCounters &cacheCounters() {
@@ -49,8 +46,7 @@ CacheCounters &cacheCounters() {
       reg.counter("cache.stores"),        reg.counter("cache.disk_hits"),
       reg.counter("cache.passes_executed"),
       reg.counter("cache.passes_replayed"),
-      reg.counter("cache.waits"),         reg.counter("cache.evicted_files"),
-      reg.counter("cache.evicted_bytes")};
+      reg.counter("cache.waits")};
   return *c;
 }
 } // namespace
@@ -64,18 +60,6 @@ PassResultCache::PassResultCache(std::string dir) : dir_(std::move(dir)) {
     dir_.clear(); // unwritable directory: degrade to memory-only
 }
 
-PassResultCache::~PassResultCache() { evictToDiskLimit(); }
-
-void PassResultCache::setDiskLimitBytes(uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  diskLimitBytes_ = bytes;
-}
-
-uint64_t PassResultCache::diskLimitBytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return diskLimitBytes_;
-}
-
 void PassResultCache::disableDisk(const char *reason) {
   if (diskDisabled_.exchange(true, std::memory_order_relaxed))
     return;
@@ -84,74 +68,6 @@ void PassResultCache::disableDisk(const char *reason) {
                "paralift: warning: pass cache demoted to memory-only "
                "(%s); dir=%s\n",
                reason, dir_.c_str());
-}
-
-PassResultCache::EvictionStats PassResultCache::evictToDiskLimit() {
-  EvictionStats out;
-  uint64_t limit = diskLimitBytes();
-  if (!diskEnabled() || limit == 0)
-    return out;
-  trace::TraceSpan span("cache:evict", "cache");
-  bytesSinceSweep_.store(0, std::memory_order_relaxed);
-  // Snapshot the directory; the filesystem is the source of truth (other
-  // processes may share the dir), entries written after the snapshot
-  // simply survive this sweep.
-  struct File {
-    std::filesystem::path path;
-    std::filesystem::file_time_type mtime;
-    uint64_t size;
-  };
-  std::vector<File> files;
-  uint64_t total = 0;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator it(dir_, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (!it->is_regular_file(ec) || it->path().extension() != ".pir")
-      continue;
-    std::error_code fec;
-    uint64_t size = it->file_size(fec);
-    auto mtime = std::filesystem::last_write_time(it->path(), fec);
-    if (fec)
-      continue; // raced with a concurrent unlink
-    files.push_back({it->path(), mtime, size});
-    total += size;
-  }
-  std::sort(files.begin(), files.end(),
-            [](const File &a, const File &b) { return a.mtime < b.mtime; });
-  for (const File &f : files) {
-    if (total <= limit)
-      break;
-    std::error_code rec;
-    if (std::filesystem::remove(f.path, rec) && !rec) {
-      total -= f.size;
-      ++out.filesRemoved;
-      out.bytesRemoved += f.size;
-    }
-  }
-  if (out.filesRemoved) {
-    cacheCounters().evictedFiles.add(out.filesRemoved);
-    cacheCounters().evictedBytes.add(out.bytesRemoved);
-  }
-  out.bytesRemaining = total;
-  return out;
-}
-
-void PassResultCache::maybeAutoEvict(uint64_t bytesJustWritten) {
-  uint64_t limit = diskLimitBytes();
-  if (!diskEnabled() || limit == 0)
-    return;
-  uint64_t pending = bytesSinceSweep_.fetch_add(bytesJustWritten,
-                                                std::memory_order_relaxed) +
-                     bytesJustWritten;
-  // Half the limit of fresh writes between sweeps bounds the store to
-  // ~1.5x the limit at any instant; the directory scan stays off the
-  // common store path.
-  if (pending < std::max<uint64_t>(limit / 2, 1))
-    return;
-  if (sweeping_.exchange(true, std::memory_order_acquire))
-    return; // another worker is already sweeping
-  evictToDiskLimit();
-  sweeping_.store(false, std::memory_order_release);
 }
 
 namespace {
@@ -230,13 +146,6 @@ PassResultCache::acquire(const Hash128 &input, const std::string &spec,
   }
   if (diskEnabled()) {
     if (auto fromDisk = loadFromDisk(key, input, spec)) {
-      // Refresh the entry's mtime: the eviction sweep is LRU-by-mtime,
-      // and a disk hit is a use. (Memory hits were either stored or
-      // disk-promoted by this process, so their files are recent
-      // already — recency holds at process granularity.)
-      std::error_code ec;
-      std::filesystem::last_write_time(
-          keyFile(key), std::filesystem::file_time_type::clock::now(), ec);
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.hits;
       ++stats_.diskHits;
@@ -296,20 +205,14 @@ void PassResultCache::store(const Hash128 &input, const std::string &spec,
   // Write the file outside the lock (the temp+rename protocol already
   // tolerates concurrent writers of one key; same key implies same
   // value for deterministic passes).
-  if (diskEnabled()) {
-    uint64_t written = writeToDisk(key, input, spec, entry);
-    if (!written) {
-      // ENOSPC, unwritable dir, rename failure (or an injected fault):
-      // retry once after a short backoff — transient pressure often
-      // clears — then demote to memory-only. Cache trouble degrades
-      // performance, never jobs.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      written = writeToDisk(key, input, spec, entry);
-      if (!written)
-        disableDisk("disk write failed twice");
-    }
-    if (written)
-      maybeAutoEvict(written);
+  if (diskEnabled() && !writeToDisk(key, input, spec, entry)) {
+    // ENOSPC, unwritable dir, rename failure (or an injected fault):
+    // retry once after a short backoff — transient pressure often
+    // clears — then demote to memory-only. Cache trouble degrades
+    // performance, never jobs.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!writeToDisk(key, input, spec, entry))
+      disableDisk("disk write failed twice");
   }
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.stores;
@@ -403,10 +306,9 @@ PassResultCache::loadFromDisk(const Hash128 &key, const Hash128 &input,
   return entry;
 }
 
-uint64_t PassResultCache::writeToDisk(const Hash128 &key,
-                                      const Hash128 &input,
-                                      const std::string &spec,
-                                      const Entry &entry) {
+bool PassResultCache::writeToDisk(const Hash128 &key, const Hash128 &input,
+                                  const std::string &spec,
+                                  const Entry &entry) {
   trace::TraceSpan span("cache:disk-write", "cache");
   if (span.active())
     span.annotate("spec", spec);
@@ -416,7 +318,7 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
   // miss).
   failpoint::Action inject = failpoint::evaluate("cache.disk.write");
   if (inject == failpoint::Action::Error)
-    return 0;
+    return false;
   std::string path = keyFile(key);
   // Unique temp name per process+thread+key (thread ids alone are not
   // unique across processes sharing one cache dir); rename is atomic on
@@ -447,25 +349,23 @@ uint64_t PassResultCache::writeToDisk(const Hash128 &key,
   {
     std::ofstream out(tmp.str(), std::ios::binary | std::ios::trunc);
     if (!out)
-      return 0;
+      return false;
     out.write(record.data(), static_cast<std::streamsize>(bytes));
     if (!out) {
       // Failed write (e.g. disk full): do not litter the shared dir.
       out.close();
       std::error_code ec;
       std::filesystem::remove(tmp.str(), ec);
-      return 0;
+      return false;
     }
   }
   std::error_code ec;
   std::filesystem::rename(tmp.str(), path, ec);
   if (ec) {
     std::filesystem::remove(tmp.str(), ec);
-    return 0;
+    return false;
   }
-  // File bytes, header included, so the auto-sweep threshold tracks real
-  // disk growth, not just payload size.
-  return bytes;
+  return true;
 }
 
 PassResultCache::StatsSnapshot PassResultCache::stats() const {

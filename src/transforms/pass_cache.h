@@ -25,8 +25,10 @@
 // by the key hash, written atomically (temp + rename) so concurrent
 // compilers sharing a --cache-dir never observe torn entries. Entries
 // embed their full key and are re-verified on load; mismatches and
-// corrupt files degrade to a miss. All operations are thread-safe (the
-// PassManager queries the cache from --pm-threads workers).
+// corrupt files degrade to a miss. Nothing is ever evicted: the store
+// grows until its user deletes the directory. All operations are
+// thread-safe (the PassManager queries the cache from --pm-threads
+// workers).
 #pragma once
 
 #include "ir/hasher.h"
@@ -59,8 +61,6 @@ public:
   /// Persistent cache rooted at `dir` (created if absent). An empty dir
   /// string degrades to memory-only.
   explicit PassResultCache(std::string dir);
-  /// Sweeps the disk store down to the configured limit (if any).
-  ~PassResultCache();
 
   PassResultCache(const PassResultCache &) = delete;
   PassResultCache &operator=(const PassResultCache &) = delete;
@@ -138,35 +138,6 @@ public:
   /// (outside the cache lock, on the finishing caller's thread).
   void finishCompute(const Hash128 &input, const std::string &spec);
 
-  // Disk size bounds ---------------------------------------------------------
-  // The on-disk store grows without bound by default (every distinct
-  // (spec, input) pair ever compiled leaves a file). A byte limit turns
-  // it into an LRU-by-mtime cache: evictToDiskLimit removes
-  // oldest-modified entry files until the directory total fits. Sweeps
-  // run at destruction (session shutdown), after every
-  // CompilerSession::compileAll batch, and automatically mid-run once
-  // stores have written more than half the limit since the last sweep —
-  // so a long-lived session (or the future compile-server) stays within
-  // ~1.5x the bound at all times instead of growing until shutdown.
-
-  /// 0 (the default) disables the bound. Driven by --cache-limit=<MB> /
-  /// $PARALIFT_CACHE_LIMIT at the CLI/session layer.
-  void setDiskLimitBytes(uint64_t bytes);
-  uint64_t diskLimitBytes() const;
-
-  struct EvictionStats {
-    uint64_t filesRemoved = 0;
-    uint64_t bytesRemoved = 0;
-    uint64_t bytesRemaining = 0;
-  };
-  /// Removes oldest-mtime entry files until the store is within the
-  /// limit. No-op (zeros) for memory-only caches or when no limit is
-  /// set. In-memory entries are untouched — they remain valid for this
-  /// process; a future process simply re-misses. Safe against concurrent
-  /// writers: eviction only unlinks completed entry files, and a reader
-  /// losing the race degrades to a miss.
-  EvictionStats evictToDiskLimit();
-
   // Statistics ---------------------------------------------------------------
 
   struct StatsSnapshot {
@@ -198,13 +169,9 @@ private:
   void disableDisk(const char *reason);
   std::optional<Entry> loadFromDisk(const Hash128 &key, const Hash128 &input,
                                     const std::string &spec);
-  /// Returns the bytes the entry file occupies on disk (header + payload),
-  /// 0 when the write failed.
-  uint64_t writeToDisk(const Hash128 &key, const Hash128 &input,
-                       const std::string &spec, const Entry &entry);
-  /// Sweeps once stores have accumulated more than half the limit in
-  /// newly written bytes (one worker sweeps; the rest keep storing).
-  void maybeAutoEvict(uint64_t bytesJustWritten);
+  /// False when the write failed.
+  bool writeToDisk(const Hash128 &key, const Hash128 &input,
+                   const std::string &spec, const Entry &entry);
 
   struct Hash128Hasher {
     size_t operator()(const Hash128 &h) const {
@@ -221,9 +188,6 @@ private:
                      Hash128Hasher>
       inflight_;
   StatsSnapshot stats_;
-  uint64_t diskLimitBytes_ = 0;
-  std::atomic<uint64_t> bytesSinceSweep_{0};
-  std::atomic<bool> sweeping_{false};
   std::atomic<bool> diskDisabled_{false};
 };
 

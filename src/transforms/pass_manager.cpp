@@ -43,26 +43,12 @@ void Pass::declareIntOption(const std::string &key, int64_t *storage,
   options_.push_back(std::move(o));
 }
 
-void Pass::declareStringOption(const std::string &key, std::string *storage,
-                               std::string dflt,
-                               std::vector<std::string> allowed) {
-  *storage = dflt;
-  Option o;
-  o.key = key;
-  o.kind = Option::Kind::String;
-  o.strStorage = storage;
-  o.strDflt = std::move(dflt);
-  o.allowed = std::move(allowed);
-  options_.push_back(std::move(o));
-}
-
 bool Pass::setOption(const std::string &key, const std::string &value,
                      std::string *err) {
   for (Option &o : options_) {
     if (o.key != key)
       continue;
-    switch (o.kind) {
-    case Option::Kind::Bool:
+    if (o.kind == Option::Kind::Bool) {
       if (value == "true" || value == "1") {
         *o.boolStorage = true;
       } else if (value == "false" || value == "0") {
@@ -74,35 +60,6 @@ bool Pass::setOption(const std::string &key, const std::string &value,
         return false;
       }
       return true;
-    case Option::Kind::String: {
-      // Spec metacharacters in a value would break the documented
-      // parse(spec()) round-trip (and the cache's canonical keys), so
-      // they are rejected regardless of the allowed list.
-      if (value.find_first_of(",{}()") != std::string::npos) {
-        if (err)
-          *err = "invalid value '" + value + "' for option '" + key +
-                 "' of pass '" + name_ +
-                 "' (values must not contain ',', '{', '}', '(' or ')')";
-        return false;
-      }
-      if (!o.allowed.empty() &&
-          std::find(o.allowed.begin(), o.allowed.end(), value) ==
-              o.allowed.end()) {
-        if (err) {
-          std::string choices;
-          for (const std::string &a : o.allowed)
-            choices += (choices.empty() ? "" : ", ") + a;
-          *err = "invalid value '" + value + "' for option '" + key +
-                 "' of pass '" + name_ + "' (expected one of: " + choices +
-                 ")";
-        }
-        return false;
-      }
-      *o.strStorage = value;
-      return true;
-    }
-    case Option::Kind::Int:
-      break;
     }
     try {
       size_t consumed = 0;
@@ -151,11 +108,6 @@ std::string Pass::spec() const {
         continue;
       value = std::to_string(*o.intStorage);
       break;
-    case Option::Kind::String:
-      if (*o.strStorage == o.strDflt)
-        continue;
-      value = *o.strStorage;
-      break;
     }
     if (!opts.empty())
       opts += ",";
@@ -163,20 +115,6 @@ std::string Pass::spec() const {
   }
   return opts.empty() ? name_ : name_ + "{" + opts + "}";
 }
-
-//===----------------------------------------------------------------------===//
-// IR-change tracking
-//===----------------------------------------------------------------------===//
-
-namespace {
-// Per-thread so concurrent workers running one pass object on distinct
-// functions observe only their own call's changes.
-thread_local bool tlsIRChanged = false;
-} // namespace
-
-void Pass::noteIRChanged() { tlsIRChanged = true; }
-void Pass::resetThreadIRChanged() { tlsIRChanged = false; }
-bool Pass::threadIRChanged() { return tlsIRChanged; }
 
 Pass::Statistic &Pass::statistic(const std::string &name) {
   for (auto &s : stats_)
@@ -210,7 +148,6 @@ bool FunctionPass::run(ModuleOp module, DiagnosticEngine &diag) {
 RepeatPass::RepeatPass()
     : FunctionPass("repeat", "run the child passes n times in sequence") {
   declareIntOption("n", &n_, 2, /*min=*/1, /*max=*/1024);
-  declareStringOption("until", &until_, "count", {"count", "fixpoint"});
 }
 
 void RepeatPass::addChild(std::unique_ptr<Pass> child) {
@@ -226,67 +163,13 @@ std::string RepeatPass::spec() const {
   return out + ")";
 }
 
-bool RepeatPass::tracksIRChange() const {
-  for (const auto &c : children_)
-    if (!c->tracksIRChange())
-      return false;
-  return true;
-}
-
 bool RepeatPass::runOnFunction(ir::Op *func, DiagnosticEngine &diag) {
   size_t errorsAtStart = diag.numErrors();
-  const bool fixpoint = isFixpoint();
-  // Exact per-call change flags drive convergence when every child
-  // reports them; a non-tracking child degrades to comparing the printed
-  // IR round over round (correct for any pass, at a print per round).
-  const bool exact = !fixpoint || tracksIRChange();
-  std::string prevPrint;
-  if (!exact)
-    prevPrint = ir::printOp(func);
-  // In fixpoint mode `n` is ignored (the registry rejects combining the
-  // two); the cap only backstops a pass pair that oscillates instead of
-  // converging, and hitting it is reported below.
-  const int64_t rounds = fixpoint ? 1024 : n_;
-  bool converged = !fixpoint;
-  bool anyChange = false;
-  for (int64_t i = 0; i < rounds; ++i) {
-    bool roundChanged = false;
-    for (auto &c : children_) {
-      resetThreadIRChanged();
+  for (int64_t i = 0; i < n_; ++i)
+    for (auto &c : children_)
       if (!static_cast<FunctionPass &>(*c).runOnFunction(func, diag) ||
           diag.numErrors() > errorsAtStart)
         return false;
-      roundChanged |= threadIRChanged();
-    }
-    anyChange |= roundChanged;
-    if (!fixpoint)
-      continue;
-    if (exact) {
-      if (!roundChanged) {
-        converged = true;
-        break;
-      }
-    } else {
-      std::string cur = ir::printOp(func);
-      if (cur == prevPrint) {
-        converged = true;
-        break;
-      }
-      prevPrint = std::move(cur);
-    }
-  }
-  if (!converged)
-    diag.warning(SourceLoc(),
-                 "repeat{until=fixpoint} hit the " +
-                     std::to_string(rounds) +
-                     "-round cap without converging on function '" +
-                     ir::FuncOp(func).name() + "'");
-  // Propagate to an enclosing repeat: the per-child resets above wiped
-  // the thread flag, so restate the aggregate.
-  if (anyChange)
-    noteIRChanged();
-  else
-    resetThreadIRChanged();
   return true;
 }
 

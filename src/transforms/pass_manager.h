@@ -66,24 +66,6 @@ public:
   /// scheduled across functions in parallel.
   virtual bool isFunctionPass() const { return false; }
 
-  // IR-change tracking --------------------------------------------------------
-  // Passes whose transform reports whether it fired note each mutating
-  // call through a thread-local flag, so composite passes
-  // (repeat{until=fixpoint}) can detect per-function convergence even
-  // while sibling workers run the same pass objects on other functions.
-
-  /// Whether runOnFunction reports exact per-call change information via
-  /// noteIRChanged. Passes answering false force hash-based convergence
-  /// detection in repeat{until=fixpoint}.
-  virtual bool tracksIRChange() const { return false; }
-
-  /// Clears the calling thread's IR-change flag; composite passes call
-  /// this immediately before each child execution.
-  static void resetThreadIRChanged();
-  /// Whether any pass on the calling thread noted a change since the
-  /// last reset.
-  static bool threadIRChanged();
-
   /// Module-scope entry point. Returns false on a hard error (which must
   /// also be reported through `diag`).
   virtual bool run(ModuleOp module, DiagnosticEngine &diag) = 0;
@@ -153,29 +135,17 @@ protected:
   void declareIntOption(const std::string &key, int64_t *storage,
                         int64_t dflt, int64_t min = INT64_MIN,
                         int64_t max = INT64_MAX);
-  /// A string-valued option; when `allowed` is non-empty, setOption
-  /// rejects values outside it (listing the choices in the error).
-  void declareStringOption(const std::string &key, std::string *storage,
-                           std::string dflt,
-                           std::vector<std::string> allowed = {});
-
-  /// Passes call this from runOnFunction when they mutated IR (see
-  /// tracksIRChange).
-  static void noteIRChanged();
 
 private:
   struct Option {
-    enum class Kind { Bool, Int, String };
+    enum class Kind { Bool, Int };
     std::string key;
     Kind kind;
     bool *boolStorage = nullptr;
     int64_t *intStorage = nullptr;
-    std::string *strStorage = nullptr;
-    int64_t dflt = 0; // bool options store 0/1; unused for strings
+    int64_t dflt = 0; // bool options store 0/1
     int64_t min = INT64_MIN;
     int64_t max = INT64_MAX;
-    std::string strDflt;
-    std::vector<std::string> allowed;
   };
 
   std::string name_;
@@ -200,14 +170,10 @@ public:
 
 /// repeat{n=K}(a,b,...): a composite pass running its children K times in
 /// sequence — the declarative form of the canonicalize/cse fixpoint pairs
-/// in the standard pipeline. repeat{until=fixpoint}(a,b,...) instead
-/// iterates until a round leaves the function's IR unchanged (capped at
-/// 1024 rounds): when every child tracksIRChange, convergence is read off
-/// the per-pass change tracking; otherwise a round's printed IR is
-/// compared against the previous round's. Children must be function
-/// passes (the repeat is then itself schedulable per function, and
-/// cacheable as one unit whose spec covers the whole body); the registry
-/// rejects module passes inside repeat.
+/// in the standard pipeline. Children must be function passes (the repeat
+/// is then itself schedulable per function, and cacheable as one unit
+/// whose spec covers the whole body); the registry rejects module passes
+/// inside repeat.
 class RepeatPass : public FunctionPass {
 public:
   RepeatPass();
@@ -219,15 +185,9 @@ public:
     return &children_;
   }
   bool runOnFunction(ir::Op *func, DiagnosticEngine &diag) override;
-  /// Exact iff every child is exact (then a repeat nests inside an
-  /// enclosing fixpoint repeat without forcing the print fallback).
-  bool tracksIRChange() const override;
 
 private:
-  bool isFixpoint() const { return until_ == "fixpoint"; }
-
   int64_t n_ = 2;
-  std::string until_;
   std::vector<std::unique_ptr<Pass>> children_;
 };
 

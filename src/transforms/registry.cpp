@@ -65,8 +65,7 @@ std::vector<PassInfo> buildRegistry() {
                     }});
   passes.push_back({"repeat",
                     "repeat{n=K}(p1,p2,...): run the nested function "
-                    "passes K times; repeat{until=fixpoint}(...) iterates "
-                    "until a round changes nothing (options: n, until)",
+                    "passes K times (option: n)",
                     [] { return std::unique_ptr<Pass>(new RepeatPass()); }});
   return passes;
 }
@@ -210,19 +209,6 @@ std::unique_ptr<Pass> instantiatePassSpec(const PassSpec &ps,
     if (ps.nested.empty()) {
       diag.error({}, "pipeline spec: repeat requires a parenthesized pass "
                      "list, e.g. repeat{n=2}(canonicalize,cse)");
-      return nullptr;
-    }
-    // A fixpoint repeat iterates to convergence; a user-provided round
-    // count would be silently ignored, so reject the combination.
-    bool hasN = false, hasFixpoint = false;
-    for (const auto &[key, value] : ps.options) {
-      hasN |= key == "n";
-      hasFixpoint |= key == "until" && value == "fixpoint";
-    }
-    if (hasN && hasFixpoint) {
-      diag.error({}, "pipeline spec: repeat options 'n' and "
-                     "'until=fixpoint' are mutually exclusive (fixpoint "
-                     "iterates until a round changes nothing)");
       return nullptr;
     }
     auto repeat = std::make_unique<RepeatPass>();

@@ -6,12 +6,9 @@
 // The language has one composite construct, repetition:
 //
 //   "repeat{n=3}(canonicalize,cse)"
-//   "repeat{until=fixpoint}(canonicalize,cse)"
 //
-// which runs the parenthesized sub-pipeline n times — or, with
-// until=fixpoint, until a round leaves the IR unchanged (children must be
-// function passes; n defaults to 2 and is elided when default, as is
-// until=count).
+// which runs the parenthesized sub-pipeline n times (children must be
+// function passes; n defaults to 2 and is elided when default).
 //
 // Specs round-trip: building a PassManager from a spec and printing
 // PassManager::pipelineSpec() yields a canonical form that parses back to

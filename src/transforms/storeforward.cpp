@@ -130,9 +130,8 @@ bool deadStoreInBlock(Block &block) {
   return changed;
 }
 
-/// Returns whether anything was forwarded or eliminated.
-bool storeForwardRoot(Op *root) {
-  bool any = false;
+/// Forwards and eliminates until a round changes nothing.
+void storeForwardRoot(Op *root) {
   bool changed = true;
   while (changed) {
     changed = false;
@@ -146,9 +145,7 @@ bool storeForwardRoot(Op *root) {
       changed |= forwardInBlock(*b);
     for (Block *b : blocks)
       changed |= deadStoreInBlock(*b);
-    any |= changed;
   }
-  return any;
 }
 
 class StoreForwardPass : public FunctionPass {
@@ -159,22 +156,17 @@ public:
         removed_(&statistic("ops-removed")) {}
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    bool any;
     if (!statisticsEnabled()) {
-      any = storeForwardRoot(func);
+      storeForwardRoot(func);
     } else {
       size_t before = countNestedOps(func);
-      any = storeForwardRoot(func);
+      storeForwardRoot(func);
       size_t after = countNestedOps(func);
       if (after < before)
         *removed_ += before - after;
     }
-    if (any)
-      noteIRChanged();
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   Statistic *removed_;

@@ -107,14 +107,9 @@ public:
   }
 
   bool runOnFunction(Op *func, DiagnosticEngine &) override {
-    unsigned unrolled = unrollRoot(func, maxTrip_);
-    *unrolled_ += unrolled;
-    if (unrolled)
-      noteIRChanged();
+    *unrolled_ += unrollRoot(func, maxTrip_);
     return true;
   }
-
-  bool tracksIRChange() const override { return true; }
 
 private:
   int64_t maxTrip_ = 8;

@@ -16,10 +16,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <unistd.h>
 
 using namespace paralift;
@@ -448,95 +446,6 @@ TEST(PassCacheTest, ThreadSafeUnderPmThreads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Disk LRU eviction (--cache-limit / PARALIFT_CACHE_LIMIT)
-//===----------------------------------------------------------------------===//
-
-TEST(PassCacheTest, DiskLimitEvictsOldestMtimeFirst) {
-  std::string dir = tempDir("evict");
-  uint64_t entryBytes = 0;
-  {
-    PassResultCache cache(dir);
-    // Four entries, mtimes spread far apart so ordering is unambiguous
-    // regardless of filesystem timestamp granularity.
-    for (int i = 0; i < 4; ++i) {
-      std::string ir = "func " + std::to_string(i) + "\n";
-      cache.store(hashBytes("input" + std::to_string(i)), "canonicalize",
-                  ir, hashBytes(ir));
-    }
-    std::vector<std::filesystem::path> files;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-      files.push_back(e.path());
-    ASSERT_EQ(files.size(), 4u);
-    entryBytes = std::filesystem::file_size(files[0]);
-    // Filenames are key hashes (unordered); back-date by directory
-    // iteration order, recording which basenames got the oldest stamps.
-    auto now = std::filesystem::file_time_type::clock::now();
-    int k = 0;
-    std::vector<std::string> oldest;
-    for (const auto &f : files) {
-      std::filesystem::last_write_time(f, now - std::chrono::hours(4 - k));
-      if (k < 2)
-        oldest.push_back(f.filename().string());
-      ++k;
-    }
-    // Keep ~2 entries: the sweep must drop exactly the two back-dated
-    // furthest and keep the rest.
-    cache.setDiskLimitBytes(2 * entryBytes + entryBytes / 2);
-    auto ev = cache.evictToDiskLimit();
-    EXPECT_EQ(ev.filesRemoved, 2u);
-    EXPECT_LE(ev.bytesRemaining, 2 * entryBytes + entryBytes / 2);
-    for (const std::string &name : oldest)
-      EXPECT_FALSE(std::filesystem::exists(
-          std::filesystem::path(dir) / name))
-          << name << " should have been evicted first";
-  }
-  size_t remaining = 0;
-  for (const auto &e : std::filesystem::directory_iterator(dir)) {
-    (void)e;
-    ++remaining;
-  }
-  EXPECT_EQ(remaining, 2u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PassCacheTest, DestructorSweepsToLimit) {
-  std::string dir = tempDir("evict-dtor");
-  {
-    PassResultCache cache(dir);
-    for (int i = 0; i < 6; ++i) {
-      std::string ir = "func " + std::to_string(i) + "\n";
-      cache.store(hashBytes("in" + std::to_string(i)), "cse", ir,
-                  hashBytes(ir));
-    }
-    // A limit below one entry's size: shutdown keeps at most one file.
-    cache.setDiskLimitBytes(1);
-  } // destructor sweeps
-  size_t remaining = 0;
-  for (const auto &e : std::filesystem::directory_iterator(dir)) {
-    (void)e;
-    ++remaining;
-  }
-  EXPECT_LE(remaining, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PassCacheTest, NoLimitMeansNoEviction) {
-  std::string dir = tempDir("evict-off");
-  PassResultCache cache(dir);
-  std::string ir = "func\n";
-  cache.store(hashBytes("in"), "cse", ir, hashBytes(ir));
-  auto ev = cache.evictToDiskLimit();
-  EXPECT_EQ(ev.filesRemoved, 0u);
-  size_t remaining = 0;
-  for (const auto &e : std::filesystem::directory_iterator(dir)) {
-    (void)e;
-    ++remaining;
-  }
-  EXPECT_EQ(remaining, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-//===----------------------------------------------------------------------===//
 // Non-finite / denormal float attributes through a cache round trip
 //===----------------------------------------------------------------------===//
 
@@ -631,44 +540,6 @@ TEST(PassCacheTest, KeysDeterministicAcrossCacheInstances) {
     EXPECT_EQ(s.misses, 0u) << "a cache key failed to reproduce";
     EXPECT_EQ(s.passesExecuted, 0u);
     EXPECT_EQ(s.hits, s.diskHits) << "all hits must come from disk";
-  }
-  std::filesystem::remove_all(dir);
-}
-
-//===----------------------------------------------------------------------===//
-// Mid-run disk eviction (long-lived sessions must not outgrow the limit)
-//===----------------------------------------------------------------------===//
-
-TEST(PassCacheTest, StoresSweepTheDiskLimitMidRun) {
-  std::string dir = tempDir("midrun-evict");
-  auto dirBytes = [&] {
-    uint64_t total = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-      total += std::filesystem::file_size(e.path());
-    return total;
-  };
-  const uint64_t limit = 4096;
-  uint64_t written = 0;
-  {
-    PassResultCache cache(dir);
-    cache.setDiskLimitBytes(limit);
-    // Far more entry bytes than the limit, without destroying the cache:
-    // the store path itself must keep the directory bounded (~1.5x the
-    // limit plus the writes since the last threshold crossing).
-    for (int i = 0; i < 60; ++i) {
-      std::string ir(400, 'a' + (i % 26));
-      written += ir.size();
-      cache.store(hashBytes("in" + std::to_string(i)), "canonicalize",
-                  ir, hashBytes(ir));
-      EXPECT_LE(dirBytes(), 3 * limit) << "store " << i;
-    }
-    ASSERT_GT(written, 3 * limit) << "test must overflow the limit";
-    size_t files = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-      (void)e;
-      ++files;
-    }
-    EXPECT_LT(files, 60u) << "no mid-run sweep ever ran";
   }
   std::filesystem::remove_all(dir);
 }
@@ -882,33 +753,5 @@ TEST(DiskFaultTest, ReadErrorsRetryThenDemoteToMemoryOnly) {
   EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
   EXPECT_TRUE(cache.diskDemoted());
   EXPECT_EQ(cache.stats().diskHits, 0u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DiskFaultTest, EvictionRacingStoresIsSafe) {
-  std::string dir = tempDir("fault-evict-race");
-  const std::string pipeline = "canonicalize,cse";
-  PassResultCache cache(dir);
-  cache.setDiskLimitBytes(1); // every sweep wants to remove everything
-  std::atomic<bool> stop{false};
-  std::thread evictor([&] {
-    while (!stop.load())
-      cache.evictToDiskLimit();
-  });
-  // Stores race the sweeping evictor: each entry either lands and is
-  // later evicted, or is gone by the time a lookup probes it — a miss,
-  // never a torn replay or a crash.
-  for (int i = 0; i < 16; ++i) {
-    OwnedModule m =
-        parseOk(twoFuncModule((std::to_string(i) + ".0").c_str()));
-    OwnedModule reference =
-        parseOk(twoFuncModule((std::to_string(i) + ".0").c_str()));
-    DiagnosticEngine diag;
-    ASSERT_TRUE(runPassPipeline(reference.get(), pipeline, diag));
-    EXPECT_EQ(runCached(m.get(), pipeline, &cache), printOp(reference.op()));
-  }
-  stop.store(true);
-  evictor.join();
-  EXPECT_FALSE(cache.diskDemoted()); // eviction pressure is not an IO fault
   std::filesystem::remove_all(dir);
 }

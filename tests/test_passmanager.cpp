@@ -147,8 +147,6 @@ TEST(PipelineSpecTest, RoundTripIsIdentity) {
       "repeat{n=3}(canonicalize,cse)",
       "inline,repeat(canonicalize,cse),unroll{max-trip=16}",
       "repeat{n=4}(canonicalize,unroll{max-trip=2})",
-      "repeat{until=fixpoint}(canonicalize,cse)",
-      "repeat{until=fixpoint}(canonicalize,unroll{max-trip=2})",
       "",
   };
   for (const char *input : inputs) {
@@ -209,6 +207,14 @@ TEST(RepeatSpecTest, SyntaxAndSemanticErrors) {
   EXPECT_FALSE(buildPipelineFromSpec(pm, "cse(canonicalize)", diag));
   EXPECT_NE(diag.str().find("does not take a pass list"), std::string::npos)
       << diag.str();
+
+  // n is repeat's only option: there is no convergence mode.
+  diag.clear();
+  EXPECT_FALSE(buildPipelineFromSpec(
+      pm, "repeat{until=fixpoint}(canonicalize,cse)", diag));
+  EXPECT_NE(diag.str().find("unknown option 'until' for pass 'repeat'"),
+            std::string::npos)
+      << diag.str();
 }
 
 TEST(RepeatSpecTest, RunsChildrenNTimes) {
@@ -232,87 +238,6 @@ TEST(RepeatSpecTest, RunsChildrenNTimes) {
   EXPECT_EQ(printOp(m1.op()), printOp(m2.op()));
   // The loop is gone either way.
   EXPECT_EQ(printOp(m1.op()).find("scf.for"), std::string::npos);
-}
-
-TEST(RepeatFixpointTest, ConvergesLikeManualIteration) {
-  // The 4-trip loop needs two unroll{max-trip=2}+canonicalize rounds to
-  // disappear plus one round to observe convergence; fixpoint mode finds
-  // that on its own and matches the manually iterated sequence.
-  OwnedModule m1 = parseOk(kLoopModule);
-  OwnedModule m2 = parseOk(kLoopModule);
-  DiagnosticEngine diag;
-  ASSERT_TRUE(runPassPipeline(
-      m1.get(), "repeat{until=fixpoint}(unroll{max-trip=4},canonicalize)",
-      diag))
-      << diag.str();
-  ASSERT_TRUE(runPassPipeline(m2.get(),
-                              "unroll{max-trip=4},canonicalize,"
-                              "unroll{max-trip=4},canonicalize",
-                              diag))
-      << diag.str();
-  EXPECT_EQ(printOp(m1.op()), printOp(m2.op()));
-  EXPECT_EQ(printOp(m1.op()).find("scf.for"), std::string::npos);
-}
-
-TEST(RepeatFixpointTest, StopsImmediatelyWhenNothingChanges) {
-  // A module already in normal form: one fixpoint round reports no
-  // change and the repeat stops (observable through pass statistics —
-  // zero ops removed).
-  OwnedModule m = parseOk(kLoopModule);
-  DiagnosticEngine diag;
-  ASSERT_TRUE(
-      runPassPipeline(m.get(), "repeat{until=fixpoint}(canonicalize,cse)",
-                      diag))
-      << diag.str();
-  std::string stable = printOp(m.op());
-  ASSERT_TRUE(
-      runPassPipeline(m.get(), "repeat{until=fixpoint}(canonicalize,cse)",
-                      diag))
-      << diag.str();
-  EXPECT_EQ(printOp(m.op()), stable);
-}
-
-TEST(RepeatFixpointTest, PrintFallbackForNonTrackingChildren) {
-  // omp-lower reports no per-call change tracking, so fixpoint mode
-  // falls back to comparing printed IR round over round; lowering is
-  // idempotent, so the repeat terminates and matches a single run.
-  const char *src = "__global__ void k(float* a, int n) {\n"
-                    "  int i = blockIdx.x;\n"
-                    "  if (i < n) { a[i] = a[i] + 1.0f; }\n"
-                    "}\n"
-                    "void run(float* a, int n) { k<<<n, 1>>>(a, n); }\n";
-  DiagnosticEngine diag;
-  auto once = driver::compileForSimt(src, diag);
-  ASSERT_TRUE(once.ok) << diag.str();
-  OwnedModule repeated = parseOk(printOp(once.module.op()));
-  ASSERT_TRUE(runPassPipeline(once.module.get(), "cpuify,omp-lower", diag))
-      << diag.str();
-  ASSERT_TRUE(runPassPipeline(repeated.get(),
-                              "cpuify,repeat{until=fixpoint}(omp-lower)",
-                              diag))
-      << diag.str();
-  EXPECT_EQ(printOp(once.module.op()), printOp(repeated.op()));
-}
-
-TEST(RepeatFixpointTest, BadUntilValueRejected) {
-  DiagnosticEngine diag;
-  PassManager pm;
-  EXPECT_FALSE(
-      buildPipelineFromSpec(pm, "repeat{until=sometimes}(cse)", diag));
-  EXPECT_NE(diag.str().find("expected one of: count, fixpoint"),
-            std::string::npos)
-      << diag.str();
-}
-
-TEST(RepeatFixpointTest, CountAndFixpointAreMutuallyExclusive) {
-  // A round count would be silently ignored in fixpoint mode, so the
-  // registry rejects the combination outright.
-  DiagnosticEngine diag;
-  PassManager pm;
-  EXPECT_FALSE(buildPipelineFromSpec(
-      pm, "repeat{n=3,until=fixpoint}(canonicalize,cse)", diag));
-  EXPECT_NE(diag.str().find("mutually exclusive"), std::string::npos)
-      << diag.str();
 }
 
 TEST(PipelineSpecTest, ParameterizedPipelineRuns) {
