@@ -335,8 +335,9 @@ void printFailpointOverhead(const FailpointOverhead &t) {
               t.armedWall, t.overheadPct);
 }
 
-/// Cold-populate cache behavior of one DAG suite batch (hits include
-/// in-batch dedup of kernels shared across modules).
+/// Cold-populate cache behavior of one DAG suite batch (hits are replays
+/// of entries an earlier step of the batch stored: a kernel or pipeline
+/// prefix shared across modules, reached after its first compile).
 transforms::PassResultCache::StatsSnapshot measureCacheStats() {
   transforms::PassResultCache cache;
   driver::CompilerSession session = makeSuiteSession(4, &cache);
@@ -384,13 +385,12 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
   std::fprintf(f,
                "  \"cache_cold_populate\": {\"hits\": %llu, \"misses\": "
                "%llu, \"stores\": %llu, \"passes_executed\": %llu, "
-               "\"passes_replayed\": %llu, \"waits\": %llu},\n",
+               "\"passes_replayed\": %llu},\n",
                static_cast<unsigned long long>(cs.hits),
                static_cast<unsigned long long>(cs.misses),
                static_cast<unsigned long long>(cs.stores),
                static_cast<unsigned long long>(cs.passesExecuted),
-               static_cast<unsigned long long>(cs.passesReplayed),
-               static_cast<unsigned long long>(cs.waits));
+               static_cast<unsigned long long>(cs.passesReplayed));
   std::fprintf(f,
                "  \"tracing\": {\"disabled_wall_s\": %.6f, "
                "\"enabled_wall_s\": %.6f, \"enabled_overhead_pct\": %.2f},\n",

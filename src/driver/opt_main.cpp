@@ -27,7 +27,9 @@
 // parse/verify/print (round-trip mode). Multiple positional files compile
 // as one batch session: --pm-threads=N schedules every file's function
 // passes across one worker pool, and all files share one pass-result
-// cache — identical kernels across files replay instead of re-running.
+// cache — a kernel replays instead of re-running once an identical copy
+// in an earlier file has finished the pass (copies running at the same
+// moment each run it).
 // Examples:
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'

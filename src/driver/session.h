@@ -37,13 +37,14 @@
 // pipeline order, so module B's kernels run pass 3 while module A is still
 // parsing, and each CompileJob is marked done (its latencySeconds()
 // stamped) the moment *its* module's last pass (or terminal cache splice)
-// completes rather than at end of batch. In-batch dedup of identical
-// kernels flows through the shared cache's in-flight registry: the first
-// claimant executes, concurrent duplicates park and replay its stored
-// entry. Pass execution is
-// deterministic per input, so outputs are bit-for-bit identical to serial
-// compiles at any thread count. Under --timing, per-worker clocks are folded
-// by (module, pass), so the report attributes true per-module per-pass time.
+// completes rather than at end of batch. The shared cache is a plain
+// memo: a kernel replays entries that an earlier step stored (a copy in
+// a module that finished first, a shared pipeline prefix), while
+// identical kernels compiled at the same moment each run their passes.
+// Pass execution is deterministic per input, so outputs are bit-for-bit
+// identical to serial compiles at any thread count. Under --timing,
+// per-worker clocks are folded by (module, pass), so the report
+// attributes true per-module per-pass time.
 //
 // With per-module instrumentation (configurePassManager) the same batch
 // drains on the calling thread instead of the pool: on one worker each
@@ -116,11 +117,11 @@
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
 //    per-job deadline at batch start. Both are polled at pass/step
 //    boundaries only — the pass currently executing always finishes, so
-//    IR, cache, and in-flight claims stay consistent; the job then fails
-//    with "cancelled ..." or "deadline exceeded after Ns in pass P"
-//    before its next pass. A compile that is between passes reacts
-//    within one step; one stuck *inside* a pass is not interrupted
-//    (cooperative, not preemptive).
+//    IR and cache stay consistent; the job then fails with "cancelled
+//    ..." or "deadline exceeded after Ns in pass P" before its next
+//    pass. A compile that is between passes reacts within one step; one
+//    stuck *inside* a pass is not interrupted (cooperative, not
+//    preemptive).
 //
 //  - Cache degradation. Disk trouble in the pass cache (unwritable or
 //    unreadable entries, ENOSPC) is retried once with a short backoff,
@@ -139,7 +140,7 @@
 //
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
-//    "cache.*" (hits/misses/stores/waits/disk), "scheduler.*"
+//    "cache.*" (hits/misses/stores/disk), "scheduler.*"
 //    (tasks/steals/injects/parks/idle-wakeups), "session.*" (jobs
 //    completed/failed, job-latency histogram), "pm.pass_seconds",
 //    "pass.<pass>.<stat>" (mirrors of every Pass::Statistic), and

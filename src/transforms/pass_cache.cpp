@@ -36,7 +36,6 @@ struct CacheCounters {
   metrics::Counter &diskHits;
   metrics::Counter &passesExecuted;
   metrics::Counter &passesReplayed;
-  metrics::Counter &waits;
 };
 
 CacheCounters &cacheCounters() {
@@ -45,8 +44,7 @@ CacheCounters &cacheCounters() {
       reg.counter("cache.hits"),          reg.counter("cache.misses"),
       reg.counter("cache.stores"),        reg.counter("cache.disk_hits"),
       reg.counter("cache.passes_executed"),
-      reg.counter("cache.passes_replayed"),
-      reg.counter("cache.waits")};
+      reg.counter("cache.passes_replayed")};
   return *c;
 }
 } // namespace
@@ -110,93 +108,35 @@ std::string PassResultCache::keyFile(const Hash128 &key) const {
   return dir_ + "/" + key.hex() + ".pir";
 }
 
-PassResultCache::AcquireResult
-PassResultCache::acquire(const Hash128 &input, const std::string &spec,
-                         std::function<void()> onReady) {
+std::optional<PassResultCache::Entry>
+PassResultCache::lookup(const Hash128 &input, const std::string &spec) {
   Hash128 key = keyHash(input, spec);
-  AcquireResult out;
-  // The lookup half probes memory under the lock, then disk outside it
-  // (so --pm-threads workers hitting memory entries never queue behind a
-  // file read); the claim half re-checks memory under the same lock
-  // that owns inflight_, so an owner finishing between the two halves is
-  // observed as either its stored entry or a free key, never missed. A
-  // key already in flight short-circuits before the disk probe: its
-  // owner cannot have stored yet, so the file read is a guaranteed miss
-  // (and Busy rescans would otherwise pay it on every pass).
+  // Memory under the lock, disk outside it, so --pm-threads workers
+  // hitting memory entries never queue behind a file read.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
       cacheCounters().hits.add();
-      out.state = AcquireState::Hit;
-      out.entry = it->second;
-      return out;
-    }
-    auto fl = inflight_.find(key);
-    if (fl != inflight_.end()) {
-      out.state = AcquireState::Busy;
-      if (onReady) {
-        ++stats_.waits;
-        cacheCounters().waits.add();
-        fl->second.push_back(std::move(onReady));
-      }
-      return out;
+      return it->second;
     }
   }
-  if (diskEnabled()) {
-    if (auto fromDisk = loadFromDisk(key, input, spec)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.hits;
-      ++stats_.diskHits;
-      cacheCounters().hits.add();
-      cacheCounters().diskHits.add();
-      entries_.emplace(key, *fromDisk);
-      out.state = AcquireState::Hit;
-      out.entry = std::move(fromDisk);
-      return out;
-    }
-  }
+  std::optional<Entry> fromDisk;
+  if (diskEnabled())
+    fromDisk = loadFromDisk(key, input, spec);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) { // stored while we probed the disk
-    ++stats_.hits;
-    cacheCounters().hits.add();
-    out.state = AcquireState::Hit;
-    out.entry = it->second;
-    return out;
-  }
-  auto fl = inflight_.find(key);
-  if (fl == inflight_.end()) {
+  if (!fromDisk) {
     ++stats_.misses;
     cacheCounters().misses.add();
-    inflight_.emplace(key, std::vector<std::function<void()>>());
-    out.state = AcquireState::Owned;
-    return out;
+    return std::nullopt;
   }
-  out.state = AcquireState::Busy;
-  if (onReady) {
-    ++stats_.waits;
-    cacheCounters().waits.add();
-    fl->second.push_back(std::move(onReady));
-  }
-  return out;
-}
-
-void PassResultCache::finishCompute(const Hash128 &input,
-                                    const std::string &spec) {
-  Hash128 key = keyHash(input, spec);
-  std::vector<std::function<void()>> waiters;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = inflight_.find(key);
-    if (it == inflight_.end())
-      return;
-    waiters = std::move(it->second);
-    inflight_.erase(it);
-  }
-  for (auto &cb : waiters)
-    cb();
+  ++stats_.hits;
+  ++stats_.diskHits;
+  cacheCounters().hits.add();
+  cacheCounters().diskHits.add();
+  entries_.emplace(key, *fromDisk);
+  return fromDisk;
 }
 
 void PassResultCache::store(const Hash128 &input, const std::string &spec,
@@ -379,7 +319,7 @@ std::string PassResultCache::statsStr() const {
   os << "pass-cache: hits=" << s.hits << " misses=" << s.misses
      << " stores=" << s.stores << " disk-hits=" << s.diskHits
      << " passes-executed=" << s.passesExecuted
-     << " passes-replayed=" << s.passesReplayed << " waits=" << s.waits;
+     << " passes-replayed=" << s.passesReplayed;
   return os.str();
 }
 

@@ -28,14 +28,14 @@
 // corrupt files degrade to a miss. Nothing is ever evicted: the store
 // grows until its user deletes the directory. All operations are
 // thread-safe (the PassManager queries the cache from --pm-threads
-// workers).
+// workers); the cache is a plain memo, so it never makes one caller wait
+// for another's computation of the same key.
 #pragma once
 
 #include "ir/hasher.h"
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -87,6 +87,13 @@ public:
     bool identity() const { return ir.empty(); }
   };
 
+  /// Finds the result of running `spec` on IR whose structural hash is
+  /// `input`: memory first, then disk (a disk hit is promoted into
+  /// memory). Counts a hit or a miss. Two callers missing on one key at
+  /// the same moment both run the pass and both store; the pass is
+  /// deterministic, so the second store rewrites the same value.
+  std::optional<Entry> lookup(const Hash128 &input, const std::string &spec);
+
   /// Records a pass result. Overwrites any existing entry for the key
   /// (same key implies same value for deterministic passes).
   void store(const Hash128 &input, const std::string &spec, Entry entry);
@@ -106,38 +113,6 @@ public:
     return diskDisabled_.load(std::memory_order_relaxed);
   }
 
-  // In-flight computation registry -------------------------------------------
-  // In-batch dedup for concurrent schedulers (PassManager::scheduleBatch):
-  // the first task to miss on a key claims it and computes; tasks
-  // reaching the same in-flight key park a callback instead of
-  // duplicating the work, then re-probe once the owner finishes — hitting
-  // its stored entry, or claiming in turn when the owner failed and
-  // stored nothing. Claims are only ever held for the duration of one
-  // executing pass step (owners always finish), so waiting cannot cycle.
-
-  enum class AcquireState {
-    Hit,   ///< entry found; no claim taken
-    Owned, ///< key claimed — caller must finishCompute() exactly once
-    Busy   ///< another caller owns the key
-  };
-  struct AcquireResult {
-    AcquireState state = AcquireState::Busy;
-    std::optional<Entry> entry; ///< set for Hit
-  };
-  /// Atomic lookup-or-claim: finds the result of running `spec` on IR
-  /// whose structural hash is `input`, checking memory first, then disk
-  /// (disk hits are promoted into memory). Hit returns the entry (and
-  /// counts a hit); Owned claims the key for the caller, which must call
-  /// finishCompute(input, spec) exactly once, whether or not it stored a
-  /// result (counts a miss); Busy means the key is in flight elsewhere —
-  /// a non-null `onReady` is parked and invoked after the owner's
-  /// finishCompute, a null one just probes (neither counts).
-  AcquireResult acquire(const Hash128 &input, const std::string &spec,
-                        std::function<void()> onReady);
-  /// Releases a key claimed via acquire(), invoking parked callbacks
-  /// (outside the cache lock, on the finishing caller's thread).
-  void finishCompute(const Hash128 &input, const std::string &spec);
-
   // Statistics ---------------------------------------------------------------
 
   struct StatsSnapshot {
@@ -147,7 +122,6 @@ public:
     uint64_t diskHits = 0;  ///< subset of hits served from disk
     uint64_t passesExecuted = 0; ///< pass runs that executed transform code
     uint64_t passesReplayed = 0; ///< pass runs fully satisfied from cache
-    uint64_t waits = 0; ///< acquire() calls parked behind an in-flight key
   };
   StatsSnapshot stats() const;
   /// One line, e.g. "pass-cache: hits=12 misses=3 stores=3 disk-hits=0
@@ -182,11 +156,6 @@ private:
   std::string dir_;
   mutable std::mutex mutex_;
   std::unordered_map<Hash128, Entry, Hash128Hasher> entries_;
-  /// Keys claimed by an in-flight computation, with the callbacks parked
-  /// behind each (see acquire()).
-  std::unordered_map<Hash128, std::vector<std::function<void()>>,
-                     Hash128Hasher>
-      inflight_;
   StatsSnapshot stats_;
   std::atomic<bool> diskDisabled_{false};
 };

@@ -558,22 +558,20 @@ struct BatchDag::Mod {
   DiagnosticEngine *diag = nullptr;
   std::function<std::optional<ModuleOp>()> prepare;
   PassManager::CacheState st;
-  /// Functions not yet advanced past the current pass step.
-  std::vector<ir::Op *> remaining;
   size_t passIdx = 0;
   /// The current step's beforePass hooks ran and its afterPass hooks
   /// have not (see enterStep / exitStep).
   bool stepOpen = false;
-  /// Whether the current step already counted a notePassExecuted (a fan
-  /// join re-enters the step; the counter must bump once).
+  /// The current step ran the pass on some IR rather than replaying it
+  /// all from the cache (the step's trace annotation).
   bool stepExecuted = false;
   /// The chain reached finish(), successfully or not.
   bool finished = false;
 };
 
 /// Join state of one fanned-out function-pass step: per-function run
-/// tasks decrement `left`; the last finisher completes the step and
-/// resumes the module chain.
+/// tasks decrement `left`; the last finisher ends the step and resumes
+/// the module chain at the next pass.
 struct BatchDag::Fan {
   FunctionPass *pass = nullptr;
   std::string spec;
@@ -639,11 +637,6 @@ void BatchDag::foldTiming() const {
     pm_.timing_->records.push_back(row.second);
 }
 
-void BatchDag::spawnAdvance(size_t i) {
-  auto self = shared_from_this();
-  sched_.spawn([self, i](unsigned worker) { self->advance(i, worker); });
-}
-
 void BatchDag::finish(size_t i, bool ok) {
   Mod &m = *mods_[i];
   if (ok && m.module) {
@@ -679,8 +672,6 @@ bool BatchDag::enterStep(size_t i, Pass &pass) {
     fail(i);
     return false;
   }
-  if (pass.isFunctionPass())
-    m.remaining = collectFuncs(module);
   m.stepOpen = true;
   for (auto &ins : pm_.instrumentations_)
     ins->beforePass(pass, module);
@@ -699,6 +690,17 @@ bool BatchDag::exitStep(size_t i) {
        it != pm_.instrumentations_.rend(); ++it)
     ok = (*it)->afterPass(pass, module, *m.diag) && ok;
   return ok && m.diag->numErrors() == errorsBefore;
+}
+
+bool BatchDag::endStep(size_t i) {
+  if (!exitStep(i)) {
+    fail(i);
+    return false;
+  }
+  Mod &m = *mods_[i];
+  ++m.passIdx;
+  m.stepExecuted = false;
+  return true;
 }
 
 bool BatchDag::checkJobLimits(size_t i, Pass &pass) {
@@ -772,7 +774,7 @@ void BatchDag::advance(size_t i, unsigned worker) {
     }
     Pass &pass = *pm_.passes_[m.passIdx];
     // Step boundary: cancellation/deadline and the arena cap are polled
-    // here, where no cache claims are held and the module is quiescent.
+    // here, where the module is quiescent.
     if (checkJobLimits(i, pass))
       return;
     Step s = Step::Failed;
@@ -781,11 +783,9 @@ void BatchDag::advance(size_t i, unsigned worker) {
       // Pass bodies are individually contained (runPassContained); this
       // outer catch covers the step machinery itself — hooks, cache
       // probes, materialization, hashing — so no exception ever unwinds
-      // into the scheduler's worker loop. Claims held by an interrupted
-      // scan may leak until end of batch (waiters then fail via the
-      // session's sweep); the batch itself always survives.
+      // into the scheduler's worker loop.
       try {
-        if (m.stepOpen || enterStep(i, pass))
+        if (enterStep(i, pass))
           s = pass.isFunctionPass()
                   ? runFunctionPass(i, static_cast<FunctionPass &>(pass),
                                     worker)
@@ -809,14 +809,9 @@ void BatchDag::advance(size_t i, unsigned worker) {
           span.annotate("step", s == Step::Yielded ? "yielded" : "failed");
       }
     }
-    if (s != Step::Advanced)
-      return; // Yielded: a continuation owns the module now. Failed: done.
-    if (!exitStep(i)) {
-      fail(i);
+    // Yielded: the fan join owns the module now. Failed: done.
+    if (s != Step::Advanced || !endStep(i))
       return;
-    }
-    ++m.passIdx;
-    m.stepExecuted = false;
   }
 }
 
@@ -826,7 +821,6 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
   ModuleOp module(m.module);
   DiagnosticEngine &diag = *m.diag;
   PassResultCache *cache = pm_.cache_;
-  bool owned = false;
   Hash128 input;
   std::string spec;
   if (cache) {
@@ -836,25 +830,16 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     spec = "module:" + pass.spec();
     for (ir::Op *func : collectFuncs(module))
       input = combineHash(input, pm_.hashOf(func, m.st));
-    auto self = shared_from_this();
-    auto ar = cache->acquire(input, spec,
-                             [self, i] { self->spawnAdvance(i); });
-    if (ar.state == PassResultCache::AcquireState::Busy)
-      return Step::Yielded;
-    if (ar.state == PassResultCache::AcquireState::Hit) {
-      if (pm_.spliceModule(module, *ar.entry, m.st)) {
+    if (auto hit = cache->lookup(input, spec)) {
+      if (pm_.spliceModule(module, *hit, m.st)) {
         cache->notePassReplayed();
         return Step::Advanced;
       }
-      // Unparseable entry: recompute without a claim (rare; the corrupt
-      // key is simply overwritten by the store below).
-    } else {
-      owned = true;
+      // Unparseable entry: recompute (rare; the corrupt key is simply
+      // overwritten by the store below).
     }
     if (!pm_.materializeAll(module, m.st)) {
       diag.error(SourceLoc(), kRoundTripError);
-      if (owned)
-        cache->finishCompute(input, spec);
       fail(i);
       return Step::Failed;
     }
@@ -874,8 +859,6 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     addSample(worker, i, pass.spec(), secs,
               module.op->arena().bytesAllocated() - arenaStart);
   if (!okRun || diag.numErrors() > errorsBefore) {
-    if (owned)
-      cache->finishCompute(input, spec);
     fail(i);
     return Step::Failed;
   }
@@ -898,7 +881,6 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     else
       entry.ir = ir::printOp(module.op);
     cache->store(input, spec, std::move(entry));
-    cache->finishCompute(input, spec);
   }
   return Step::Advanced;
 }
@@ -910,110 +892,31 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
   PassResultCache *cache = pm_.cache_;
   const std::string spec = pass.spec();
   const bool lazy = lazy_[m.passIdx] != 0;
-  if (!cache) {
-    // No cache: nothing to key, replay, or dedup — run every function.
-    std::vector<FuncRun> toRun;
-    for (ir::Op *func : m.remaining)
-      toRun.push_back({func, Hash128(), false});
-    return toRun.empty() ? Step::Advanced
-                         : executeMisses(i, pass, spec, std::move(toRun),
-                                         worker);
-  }
-  while (true) {
-    // Scan: hits advance in place; first-claimant misses collect for
-    // execution; keys in flight elsewhere stay in `remaining` for a
-    // later rescan. Claims taken here are always released by the
-    // executeMisses call below (or its fan join) before any wait, so
-    // module A parking on a key module B owns can never cycle.
-    std::vector<FuncRun> toRun;
-    for (auto it = m.remaining.begin(); it != m.remaining.end();) {
-      ir::Op *func = *it;
-      Hash128 input = pm_.hashOf(func, m.st);
-      auto ar = cache->acquire(input, spec, nullptr);
-      if (ar.state == PassResultCache::AcquireState::Hit) {
-        if (pm_.applyHit(module, func, std::move(*ar.entry), lazy, m.st)) {
-          it = m.remaining.erase(it);
+  // One scan: hits advance in place; misses (and corrupt hits) collect
+  // for one execution. Without a cache every function runs.
+  std::vector<FuncRun> toRun;
+  for (ir::Op *func : collectFuncs(module)) {
+    Hash128 input;
+    if (cache) {
+      input = pm_.hashOf(func, m.st);
+      if (auto hit = cache->lookup(input, spec))
+        if (pm_.applyHit(module, func, std::move(*hit), lazy, m.st))
           continue;
-        }
-        // Unparseable entry: recompute without a claim (rare).
-      } else if (ar.state == PassResultCache::AcquireState::Busy) {
-        ++it;
-        continue;
-      }
-      // Owned (or corrupt hit): the pass must run on this function's
-      // real IR.
-      ir::Op *live = pm_.materialize(module, func, m.st);
-      if (!live) {
-        m.diag->error(SourceLoc(), kRoundTripError);
-        // Release every claim collected so far, not just this one — a
-        // leaked claim would park other modules' waiters forever.
-        if (ar.state == PassResultCache::AcquireState::Owned)
-          cache->finishCompute(input, spec);
-        for (const FuncRun &r : toRun)
-          if (r.owned)
-            cache->finishCompute(r.input, spec);
-        fail(i);
-        return Step::Failed;
-      }
-      *it = live;
-      toRun.push_back(
-          {live, input, ar.state == PassResultCache::AcquireState::Owned});
-      ++it;
-    }
-    if (!toRun.empty()) {
-      Step s = executeMisses(i, pass, spec, std::move(toRun), worker);
-      if (s != Step::Advanced)
-        return s;
-      continue; // rescan: keys that were busy may have landed meanwhile
-    }
-    if (m.remaining.empty()) {
-      if (!m.stepExecuted)
-        cache->notePassReplayed();
-      return Step::Advanced;
-    }
-    // Everything left is in flight in some other module: park one
-    // continuation on the first such key and hand it the module's
-    // ownership token. Re-acquiring with the callback is what makes the
-    // registration atomic with the busy check.
-    ir::Op *func = m.remaining.front();
-    Hash128 input = pm_.hashOf(func, m.st);
-    auto self = shared_from_this();
-    auto ar =
-        cache->acquire(input, spec, [self, i] { self->spawnAdvance(i); });
-    if (ar.state == PassResultCache::AcquireState::Busy)
-      return Step::Yielded;
-    if (ar.state == PassResultCache::AcquireState::Hit) {
-      if (pm_.applyHit(module, func, std::move(*ar.entry), lazy, m.st)) {
-        m.remaining.erase(m.remaining.begin());
-        continue;
-      }
-      // Corrupt entry: run it unclaimed.
-      ir::Op *live = pm_.materialize(module, func, m.st);
-      if (!live) {
+      // The pass must run on this function's real IR.
+      func = pm_.materialize(module, func, m.st);
+      if (!func) {
         m.diag->error(SourceLoc(), kRoundTripError);
         fail(i);
         return Step::Failed;
       }
-      m.remaining.front() = live;
-      Step s = executeMisses(i, pass, spec, {{live, input, false}}, worker);
-      if (s != Step::Advanced)
-        return s;
-      continue;
     }
-    // Owned: the previous owner finished without storing (it failed);
-    // run the function ourselves.
-    ir::Op *live = pm_.materialize(module, func, m.st);
-    if (!live) {
-      m.diag->error(SourceLoc(), kRoundTripError);
-      cache->finishCompute(input, spec);
-      fail(i);
-      return Step::Failed;
-    }
-    m.remaining.front() = live;
-    Step s = executeMisses(i, pass, spec, {{live, input, true}}, worker);
-    if (s != Step::Advanced)
-      return s;
+    toRun.push_back({func, input});
   }
+  if (!toRun.empty())
+    return executeMisses(i, pass, spec, std::move(toRun), worker);
+  if (cache)
+    cache->notePassReplayed();
+  return Step::Advanced;
 }
 
 BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
@@ -1021,12 +924,9 @@ BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
                                        std::vector<FuncRun> toRun,
                                        unsigned worker) {
   Mod &m = *mods_[i];
-  PassResultCache *cache = pm_.cache_;
-  if (!m.stepExecuted) {
-    m.stepExecuted = true;
-    if (cache)
-      cache->notePassExecuted();
-  }
+  m.stepExecuted = true;
+  if (pm_.cache_)
+    pm_.cache_->notePassExecuted();
   auto fan = std::make_shared<Fan>();
   fan->pass = &pass;
   fan->spec = spec;
@@ -1046,12 +946,9 @@ BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
         if (span.active())
           span.annotate("mod", fan->diags[k].moduleName());
         self->runFanItem(i, *fan, k, w);
-        if (fan->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last finisher completes the step and resumes the chain
-          // (rescanning the step, or moving on when it is drained).
-          if (self->completeStep(i, *fan))
-            self->advance(i, w);
-        }
+        if (fan->left.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+            self->completeStep(i, *fan) && self->endStep(i))
+          self->advance(i, w);
       });
     }
     return Step::Yielded;
@@ -1094,31 +991,19 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
     anyFailed |= !fan.oks[k] || fan.diags[k].hasErrors();
   }
   if (anyFailed) {
-    // Release every claim unstored: parked waiters re-acquire, miss, and
-    // run the work themselves (a failed module stores nothing for the
-    // step).
-    if (cache)
-      for (const FuncRun &r : fan.items)
-        if (r.owned)
-          cache->finishCompute(r.input, fan.spec);
-    fail(i);
+    fail(i); // a failed module stores nothing for the step
     return false;
   }
+  if (!cache)
+    return true;
   for (const FuncRun &r : fan.items) {
-    if (cache) {
-      // A function the pass left unchanged is stored as an identity
-      // entry, skipping the print here and the splice on every replay.
-      Hash128 outputHash = ir::hashOp(r.func);
-      cache->store(r.input, fan.spec,
-                   outputHash == r.input ? std::string()
-                                         : ir::printOp(r.func),
-                   outputHash);
-      m.st.irHash[r.func] = outputHash;
-      if (r.owned)
-        cache->finishCompute(r.input, fan.spec);
-    }
-    m.remaining.erase(
-        std::find(m.remaining.begin(), m.remaining.end(), r.func));
+    // A function the pass left unchanged is stored as an identity
+    // entry, skipping the print here and the splice on every replay.
+    Hash128 outputHash = ir::hashOp(r.func);
+    cache->store(r.input, fan.spec,
+                 outputHash == r.input ? std::string() : ir::printOp(r.func),
+                 outputHash);
+    m.st.irHash[r.func] = outputHash;
   }
   return true;
 }

@@ -433,12 +433,11 @@ public:
   /// pass 3 while module A is still parsing, and a module's CompileJob
   /// resolves (opts.onModuleDone) the moment its own last step lands
   /// instead of at end of batch. A step whose function pass misses the
-  /// cache on several functions fans them out as their own tasks. In-batch
-  /// dedup of identical kernels goes through the result cache's in-flight
-  /// registry (PassResultCache::acquire): the first claimant executes, a
-  /// concurrent duplicate parks and replays the stored entry. Pass
-  /// execution on a given input is deterministic, so outputs are
-  /// bit-for-bit identical to serial compiles regardless of
+  /// cache on several functions fans them out as their own tasks. The
+  /// result cache is a plain memo: a module replays what earlier steps
+  /// stored, while identical kernels compiled at the same moment each run
+  /// their passes. Pass execution on a given input is deterministic, so
+  /// outputs are bit-for-bit identical to serial compiles regardless of
   /// interleaving. A failing module (pass error, verifier breakage,
   /// expired token) stops advancing and is left materialized; the rest
   /// of the batch continues unaffected (job-level isolation).
@@ -533,15 +532,13 @@ private:
   friend class PassManager;
 
   /// One module's scheduling state. Exactly one task at a time owns a
-  /// Mod — ownership passes from the leaf task along the pass chain,
-  /// through fan-out joins and in-flight-key continuations — so none of
-  /// these fields need locks.
+  /// Mod — ownership passes from the leaf task along the pass chain and
+  /// through fan-out joins — so none of these fields need locks.
   struct Mod;
   struct Fan;
   struct FuncRun {
     ir::Op *func = nullptr;
     Hash128 input;
-    bool owned = false; ///< holds an in-flight claim to release
   };
   struct Sample {
     size_t mod;
@@ -553,14 +550,13 @@ private:
   /// How one pass step over one module ended.
   enum class Step {
     Advanced, ///< step complete; the module may move to the next pass
-    Yielded,  ///< ownership handed to a continuation (fan join / parked)
+    Yielded,  ///< ownership handed to the step's fan join
     Failed    ///< module failed; fail(i) has run
   };
 
   BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
            PassManager::BatchOptions opts);
 
-  void spawnAdvance(size_t i);
   void startModule(size_t i, unsigned worker);
   void advance(size_t i, unsigned worker);
   /// Opens the module's step for `pass`: materializes pending replays
@@ -570,6 +566,9 @@ private:
   /// Closes the open step: every afterPass hook, in reverse installation
   /// order. False when a hook aborted or reported an error.
   bool exitStep(size_t i);
+  /// Closes the open step and moves the module to its next pass; false
+  /// when exitStep failed the module (fail(i) has run).
+  bool endStep(size_t i);
   Step runModulePass(size_t i, Pass &pass, unsigned worker);
   Step runFunctionPass(size_t i, FunctionPass &pass, unsigned worker);
   Step executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
@@ -578,14 +577,13 @@ private:
   /// histogram and, under enableTiming, the worker's samples.
   void runFanItem(size_t i, Fan &fan, size_t k, unsigned worker);
   /// Shared completion tail of a function-pass step (inline and fanned):
-  /// merges worker diagnostics in item order, then either releases every
-  /// owned claim unstored and fails the module (false), or stores the
-  /// results, advances the hash chain, and drains `remaining` (true).
+  /// merges worker diagnostics in item order, then either fails the
+  /// module (false) or stores the results and advances the hash chain
+  /// (true).
   bool completeStep(size_t i, Fan &fan);
   /// Polls the module's cancellation token (before a step) or arena cap
   /// (after); on violation records the diagnostic, fails the module, and
-  /// returns true (abort the chain). Called only between steps, where no
-  /// cache claims are held.
+  /// returns true (abort the chain). Called only between steps.
   bool checkJobLimits(size_t i, Pass &pass);
   void finish(size_t i, bool ok);
   /// Fails module i: materializes its IR, closes an open step (afterPass

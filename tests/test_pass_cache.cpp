@@ -366,10 +366,10 @@ TEST(PassCacheTest, UnchangedFunctionsStoreIdentityEntries) {
     EXPECT_EQ(runCached(m.get(), pipeline, &cache), canonical);
     for (Op *func : funcsOf(m.get())) {
       Hash128 h = hashOp(func);
-      auto ar = cache.acquire(h, "cse", nullptr);
-      ASSERT_EQ(ar.state, PassResultCache::AcquireState::Hit);
-      EXPECT_TRUE(ar.entry->identity());
-      EXPECT_EQ(ar.entry->outputHash, h);
+      auto hit = cache.lookup(h, "cse");
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_TRUE(hit->identity());
+      EXPECT_EQ(hit->outputHash, h);
     }
   }
   PassResultCache cache(dir);

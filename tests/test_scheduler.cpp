@@ -2,9 +2,9 @@
 // deterministic random per-module pipeline mix, compiled under
 // --pm-threads={1,2,8} against one shared cache, repeatedly — asserting
 // bit-for-bit output identity with a 1-thread reference, no deadlocks
-// (a hang fails the ctest timeout), correct in-flight dedup across the
-// duplicated modules, and raw TaskScheduler invariants (dynamic spawn,
-// join counters, injection from outside the pool).
+// (a hang fails the ctest timeout), cache sharing across the duplicated
+// modules and repeated runs, and raw TaskScheduler invariants (dynamic
+// spawn, join counters, injection from outside the pool).
 #include "driver/compiler.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
@@ -30,8 +30,10 @@ struct StressJob {
 };
 
 /// 4x duplicated suite with a seeded random pipeline mix per module —
-/// duplicates share kernels (exercising in-flight dedup) while the mixed
-/// pipelines split the batch into overlapping groups.
+/// duplicates share kernels (a copy compiled after another replays its
+/// entries; copies compiled at the same moment each run the passes and
+/// store the same results) while the mixed pipelines split the batch
+/// into overlapping groups.
 std::vector<StressJob> stressJobs() {
   const PipelineOptions modes[] = {PipelineOptions{},
                                    PipelineOptions::optDisabled(),
@@ -86,9 +88,10 @@ TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesSerial) {
         EXPECT_EQ(got[i], expected[i])
             << "threads=" << threads << " run=" << run << " " << jobs[i].name;
     }
-    // The duplicated modules must have deduplicated: strictly fewer
-    // passes executed than (modules x passes) would take without dedup —
-    // replays must dominate executions across the three runs.
+    // The duplicated modules and the repeated runs must have shared the
+    // cache: strictly fewer passes executed than (modules x passes) would
+    // take without it — replays must dominate executions across the
+    // three runs.
     auto s = cache.stats();
     EXPECT_GT(s.passesReplayed, s.passesExecuted);
   }

@@ -5,7 +5,7 @@
 // incremental job resolution, the "inline-kernels" frontend view
 // matching compileForSimt, instrumented batches observing one module at
 // a time, per-module diagnostic attribution, and shared-cache replay
-// across sessions.
+// across sessions and between identical modules of one batch.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -189,6 +189,44 @@ TEST(SessionBatchTest, ParallelKeyingMatchesSerialKeying) {
     EXPECT_EQ(warmed.passesExecuted, populated.passesExecuted)
         << "threadedFirst=" << threadedFirst;
     EXPECT_GT(warmed.passesReplayed, populated.passesReplayed);
+  }
+}
+
+TEST(SessionBatchTest, IdenticalSourcesInOneBatch) {
+  // Three copies of one source in one batch. On four workers the copies
+  // may run a pass at the same moment; each then runs it and stores the
+  // same result, so every output still equals a single compile. On one
+  // worker each copy finishes before the next starts, so the second and
+  // third copies replay every entry the first one stored.
+  const auto &b = rodinia::suite().front();
+  const std::string expected = serialReference(b.cudaSource, {});
+  transforms::PassResultCache single;
+  {
+    driver::CompilerSession session(batchOptions(1, &single));
+    session.addSource(b.id, b.cudaSource, PipelineOptions{});
+    ASSERT_TRUE(session.compileAll());
+  }
+  const auto one = single.stats();
+  const uint64_t lookups = one.hits + one.misses;
+  ASSERT_GT(lookups, 0u);
+  for (unsigned threads : {4u, 1u}) {
+    transforms::PassResultCache cache;
+    driver::CompilerSession session(batchOptions(threads, &cache));
+    std::vector<driver::CompileJob *> jobs;
+    for (int copy = 0; copy < 3; ++copy)
+      jobs.push_back(&session.addSource(b.id + "#" + std::to_string(copy),
+                                        b.cudaSource, PipelineOptions{}));
+    EXPECT_TRUE(session.compileAll()) << "threads=" << threads;
+    for (driver::CompileJob *job : jobs) {
+      ASSERT_TRUE(job->ok()) << job->diagnostics().str();
+      EXPECT_EQ(ir::printOp(job->result().module.op()), expected)
+          << "threads=" << threads;
+    }
+    if (threads == 1) {
+      auto s = cache.stats();
+      EXPECT_EQ(s.hits, one.hits + 2 * lookups);
+      EXPECT_EQ(s.misses, one.misses);
+    }
   }
 }
 
