@@ -43,29 +43,12 @@ void printTable() {
 }
 
 /// Per-pass compile-time breakdown across the suite for the full
-/// pipeline, plus the effect of parallel per-kernel pass scheduling.
+/// pipeline.
 void printPassBreakdown() {
   std::printf("\n=== Per-pass compile time, full pipeline (seconds, summed "
               "over suite) ===\n\n");
   timeSuiteCompiles(transforms::PipelineOptions{}, parseSuiteModules())
       .print();
-
-  std::printf("\n=== Compile throughput vs --pm-threads, serial per-module "
-              "(whole suite, seconds) ===\n\n");
-  for (unsigned threads : {1u, 2u, 4u}) {
-    double t = medianTime(
-        [&] {
-          for (const auto &b : rodinia::suite()) {
-            DiagnosticEngine diag;
-            driver::SessionOptions so;
-            so.threads = threads;
-            driver::compile(b.cudaSource, transforms::PipelineOptions{},
-                            diag, std::move(so));
-          }
-        },
-        3);
-    std::printf("  pm-threads=%u  %10.4f s\n", threads, t);
-  }
 }
 
 /// One measured batch compile of the whole suite through a session.
@@ -127,13 +110,12 @@ struct SuiteSessionTable {
 };
 
 /// Suite-session mode: the whole Rodinia suite queued on one
-/// CompilerSession, scheduled as a dependency DAG (parse/keying/pass
-/// steps overlap across modules; each CompileJob future resolves the
-/// moment its module's last pass lands). The table reports batch wall
-/// clock AND job-completion latency per thread count, anchored by a
-/// serial one-shot baseline.
+/// CompilerSession, whose workers compile whole modules from one queue
+/// (each CompileJob resolves the moment its module's last pass lands).
+/// The table reports batch wall clock AND job-completion latency per
+/// thread count, anchored by a serial one-shot baseline.
 SuiteSessionTable printSuiteSessionMode() {
-  std::printf("\n=== Suite-session batch compile, DAG scheduling (whole "
+  std::printf("\n=== Suite-session batch compile, module queue (whole "
               "suite, seconds) ===\n");
   std::printf("(hardware: %u cores; wall-clock wins need >1 — job-latency "
               "wins appear even on 1)\n\n",
@@ -239,7 +221,7 @@ void printIrMemory(const IrMemoryTimes &m) {
               m.teardownSeconds);
 }
 
-/// Wall clock of one 4-thread DAG suite batch with the trace recorder
+/// Wall clock of one 4-thread suite batch with the trace recorder
 /// off vs on. The disabled row is the always-on cost of the
 /// instrumentation (one relaxed atomic load per site — must stay within
 /// noise of the pre-observability baseline); the enabled row adds the
@@ -279,13 +261,13 @@ TracingOverhead measureTracingOverhead() {
 }
 
 void printTracingOverhead(const TracingOverhead &t) {
-  std::printf("\n=== Tracing overhead (4-thread DAG suite batch) ===\n\n");
+  std::printf("\n=== Tracing overhead (4-thread suite batch) ===\n\n");
   std::printf("  tracing disabled : %10.4f s\n", t.disabledWall);
   std::printf("  tracing enabled  : %10.4f s  (%+.1f%% median paired)\n",
               t.enabledWall, t.overheadPct);
 }
 
-/// Wall clock of one 4-thread DAG suite batch with failpoints disarmed
+/// Wall clock of one 4-thread suite batch with failpoints disarmed
 /// (the default: every site is one relaxed atomic load) vs armed with
 /// an inert spec (probability-0 trigger on the hottest site, so the
 /// slow-path site lookup runs on every pass but no fault ever fires).
@@ -329,13 +311,13 @@ FailpointOverhead measureFailpointOverhead() {
 }
 
 void printFailpointOverhead(const FailpointOverhead &t) {
-  std::printf("\n=== Failpoint overhead (4-thread DAG suite batch) ===\n\n");
+  std::printf("\n=== Failpoint overhead (4-thread suite batch) ===\n\n");
   std::printf("  failpoints disarmed    : %10.4f s\n", t.disarmedWall);
   std::printf("  armed, inert spec      : %10.4f s  (%+.1f%% median paired)\n",
               t.armedWall, t.overheadPct);
 }
 
-/// Cold-populate cache behavior of one DAG suite batch (hits are replays
+/// Cold-populate cache behavior of one suite batch (hits are replays
 /// of entries an earlier step of the batch stored: a kernel or pipeline
 /// prefix shared across modules, reached after its first compile).
 transforms::PassResultCache::StatsSnapshot measureCacheStats() {
@@ -405,14 +387,12 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
   const auto &reg = metrics::MetricsRegistry::instance();
   std::fprintf(f,
                "  \"metrics\": {\"cache_hits\": %llu, "
-               "\"scheduler_tasks\": %llu, \"scheduler_steals\": %llu, "
+               "\"scheduler_tasks\": %llu, "
                "\"session_jobs_completed\": %llu, "
                "\"arena_peak_bytes\": %lld}\n",
                static_cast<unsigned long long>(reg.counterValue("cache.hits")),
                static_cast<unsigned long long>(
                    reg.counterValue("scheduler.tasks")),
-               static_cast<unsigned long long>(
-                   reg.counterValue("scheduler.steals")),
                static_cast<unsigned long long>(
                    reg.counterValue("session.jobs_completed")),
                static_cast<long long>(reg.gaugePeak("arena.reserved_bytes")));

@@ -25,21 +25,20 @@
 // optional {key=value,...} parameters and (for repeat) a parenthesized
 // child list. With no file, reads stdin. With no --passes, just
 // parse/verify/print (round-trip mode). Multiple positional files compile
-// as one batch session: --pm-threads=N schedules every file's function
-// passes across one worker pool, and all files share one pass-result
-// cache — a kernel replays instead of re-running once an identical copy
-// in an earlier file has finished the pass (copies running at the same
-// moment each run it).
+// as one batch session: --pm-threads=N compiles up to N files at once,
+// each file start to finish on one worker, and all files share one
+// pass-result cache — a kernel replays instead of re-running once an
+// identical copy in an earlier file has finished the pass (copies
+// running at the same moment each run it).
 // Examples:
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'
 //   paralift-opt a.cu b.cu c.cu --cuda --pm-threads=4
 //     --passes='repeat{n=2}(canonicalize,cse),cpuify,omp-lower'
 //
-// Batches schedule as a dependency DAG (each file parses, keys, and runs
-// its passes as an independent task chain on the --pm-threads pool;
-// every file's output is ready the moment its own last pass lands).
-// Outputs are identical at every --pm-threads value.
+// Workers take files from one queue in command-line order; every file's
+// output is ready the moment its own last pass lands. Outputs are
+// identical at every --pm-threads value.
 //
 // Pass results are cached persistently under --cache-dir (or
 // $PARALIFT_CACHE_DIR when set): re-running an unchanged file through an
@@ -107,7 +106,7 @@ int usage(const char *argv0) {
       "                   unroll{max-trip=16},cpuify{mincut=false}'\n"
       "\n"
       "Multiple files compile as one batch session sharing the\n"
-      "--pm-threads worker pool and the pass-result cache.\n",
+      "pass-result cache; --pm-threads=N compiles up to N files at once.\n",
       argv0);
   return 0;
 }

@@ -9,6 +9,7 @@
 #include "transforms/registry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -225,13 +226,13 @@ bool CompilerSession::compileAll() {
         job->cancel_.setDeadline(opts_.jobTimeoutSeconds);
     // One async span per job, from batch admission to markDone — in the
     // trace these are the per-job "queue + compile" lifetimes that start
-    // together and resolve incrementally under the DAG scheduler.
+    // together and resolve one by one as modules finish.
     if (trace::enabled())
       for (CompileJob *job : batch)
         trace::asyncBegin("job:" + job->name_,
                           reinterpret_cast<uintptr_t>(job));
     // Group jobs by pipeline; each group compiles against one
-    // PassManager, whose DAG batch covers every job of the group. The
+    // PassManager, whose module batch covers every job of the group. The
     // key is the built pipeline's canonical spec — not the
     // PipelineOptions fields — so a future option can never silently
     // misgroup jobs onto another job's pipeline; the PassManager built
@@ -268,16 +269,12 @@ bool CompilerSession::compileAll() {
         it->jobs.push_back(job);
       }
     }
-    // Per-module instrumentation observes one module at a time (see
-    // "Batch scheduling" in the header): such batches drain on the
-    // calling thread, where each module's chain runs to completion, in
-    // job order, before the next module's leaf task starts.
-    bool oneModuleAtATime = bool(opts_.configurePassManager);
-    runtime::TaskScheduler sched(oneModuleAtATime ? nullptr : pool_.get());
-    // Every group's graph goes onto the one scheduler: parse/keying
-    // leaves and pass steps of all pipelines interleave freely, and each
-    // job is marked done the moment its own chain completes.
-    std::vector<std::shared_ptr<transforms::BatchDag>> states;
+    // Every group's modules go onto one queue, in group then job order;
+    // each team member claims the next module and compiles it start to
+    // finish, so each job is marked done the moment its own pipeline
+    // completes.
+    std::vector<std::unique_ptr<transforms::ModuleBatch>> batches;
+    std::vector<std::pair<size_t, size_t>> queue; // (group, job in group)
     for (Group &group : groups) {
       // Instrumentation nesting: custom hooks outermost, then
       // verify-each.
@@ -323,15 +320,35 @@ bool CompilerSession::compileAll() {
         }
         markDone(*job, ok);
       };
-      states.push_back(
-          pm.scheduleBatch(sched, std::move(items), std::move(bo)));
+      for (size_t j = 0; j < group.jobs.size(); ++j)
+        queue.emplace_back(batches.size(), j);
+      batches.push_back(pm.makeBatch(std::move(items), std::move(bo)));
     }
-    sched.run();
-    // Containment sweep: a task chain severed mid-batch (an exception
-    // contained by the scheduler's worker loop, e.g. an injected
-    // "scheduler.task" fault) leaves its job un-resolved even though
-    // run() drained. Every job must resolve, so any job still not
-    // Done here failed — attribute and mark it.
+    std::atomic<size_t> next{0};
+    auto drain = [&](unsigned worker) {
+      if (trace::enabled()) {
+        char name[32];
+        std::snprintf(name, sizeof(name), "worker-%u", worker);
+        trace::setThreadName(name);
+      }
+      for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) <
+                     queue.size();)
+        batches[queue[k].first]->runModule(queue[k].second);
+    };
+    // Per-module instrumentation observes one module at a time (see
+    // "Batch scheduling" in the header), and a batch started inside a
+    // parallel region must not fork a nested team: both drain on the
+    // calling thread, in job order.
+    if (pool_ && !opts_.configurePassManager &&
+        !runtime::ThreadPool::insideParallel())
+      pool_->parallel([&](unsigned tid, runtime::Team &) { drain(tid); });
+    else
+      drain(0);
+    // Containment sweep: a module cut short by a contained exception
+    // (ModuleBatch::runModule, e.g. an injected "scheduler.task" fault)
+    // leaves its job un-resolved even though the queue drained. Every
+    // job must resolve, so any job still not Done here failed —
+    // attribute and mark it.
     for (CompileJob *job : batch) {
       bool done;
       {
@@ -341,12 +358,12 @@ bool CompilerSession::compileAll() {
       if (!done) {
         job->diag_.error(SourceLoc(),
                          "compile task aborted before completion "
-                         "(exception contained by the scheduler)");
+                         "(exception contained at module dispatch)");
         markDone(*job, false);
       }
     }
-    for (auto &state : states)
-      state->foldTiming();
+    for (auto &batch : batches)
+      batch->foldTiming();
     // Retained only for statisticsStr(); a long-lived session that never
     // reads statistics must not accumulate one PassManager per batch.
     if (opts_.collectStatistics)

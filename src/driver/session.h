@@ -3,14 +3,12 @@
 //
 // A session is a long-lived object owning everything that should be
 // shared across compiles instead of rebuilt per call: the runtime
-// ThreadPool that schedules function passes (and whole-batch work), the
+// ThreadPool whose team compiles modules in parallel, the
 // PassResultCache, and the run configuration (threads, verification,
 // timing, deadlines). Sources are queued with addSource (each returns
 // a CompileJob handle carrying a per-module DiagnosticEngine stamped with
-// the module's name), then compileAll() compiles every queued module —
-// scheduling *all* modules' function passes across the one pool, so
-// parallel compilation stays busy even when each module holds only one
-// or two kernels (the Rodinia shape). A job's result, diagnostics and
+// the module's name), then compileAll() compiles every queued module,
+// up to `threads` modules at once. A job's result, diagnostics and
 // latency are read after the compileAll that covered it returns.
 //
 //   driver::CompilerSession session({.threads = 4});
@@ -27,31 +25,29 @@
 // Batch scheduling
 // ----------------
 // Every job, in every configuration, compiles through one path: the
-// PassManager's dependency DAG (transforms::BatchDag), one batch per
-// compileAll. The SIMT oracle's frontend view is no special case either: it
-// is the one-pass pipelineSpec "inline-kernels". Each module becomes a chain
-// of tasks on a work-stealing scheduler over the session pool — a leaf task
-// that parses the source and keys its functions (ir::hashOp), then one task
-// per (module, pass) step, with fan-out per function inside a step when
-// several functions miss the cache. The only edges are each module's own
-// pipeline order, so module B's kernels run pass 3 while module A is still
-// parsing, and each CompileJob is marked done (its latencySeconds()
-// stamped) the moment *its* module's last pass (or terminal cache splice)
-// completes rather than at end of batch. The shared cache is a plain
-// memo: a kernel replays entries that an earlier step stored (a copy in
-// a module that finished first, a shared pipeline prefix), while
-// identical kernels compiled at the same moment each run their passes.
-// Pass execution is deterministic per input, so outputs are bit-for-bit
-// identical to serial compiles at any thread count. Under --timing,
-// per-worker clocks are folded by (module, pass), so the report
-// attributes true per-module per-pass time.
+// PassManager's module batch (transforms::ModuleBatch), one per pipeline
+// group. The SIMT oracle's frontend view is no special case either: it is
+// the one-pass pipelineSpec "inline-kernels". All groups' modules form
+// one queue, in group then job order, and the pool's team drains it:
+// each worker claims the next module and runs it start to finish —
+// parse, key its functions (ir::hashOp), then every pass in order.
+// Parallelism comes from the modules; the functions of one module run
+// one after another on its worker. Each CompileJob is marked done (its
+// latencySeconds() stamped) the moment its own last pass (or terminal
+// cache splice) completes rather than at end of batch. The shared cache
+// is a plain memo: a kernel replays entries that an earlier step stored
+// (a copy in a module that finished first, a shared pipeline prefix),
+// while identical kernels compiled at the same moment each run their
+// passes. Pass execution is deterministic per input, so outputs are
+// bit-for-bit identical to serial compiles at any thread count. Under
+// --timing, each module keeps its own (module, pass) records, appended
+// in group then job order.
 //
-// With per-module instrumentation (configurePassManager) the same batch
-// drains on the calling thread instead of the pool: on one worker each
-// module's chain runs to completion, in job order, before the next
-// module's leaf task starts, so the hooks observe one module at a time.
-// Such batches share the cache and get the same per-step cancellation,
-// deadline, and arena-cap checks.
+// The queue drains on the calling thread, in job order, at threads=1,
+// when compileAll is itself called inside a parallel region, and with
+// per-module instrumentation (configurePassManager), so those hooks
+// observe one module at a time. Such batches share the cache and get the
+// same per-step cancellation, deadline, and arena-cap checks.
 //
 // Memory
 // ------
@@ -72,9 +68,9 @@
 //    the *created*, not the surviving, op count.
 //  - Cross-module splices never share arenas. Cache replays and clones
 //    parse/clone directly into the destination module's arena
-//    (ir::parseModuleInto, ir::cloneOpInto), so worker threads may
-//    replay into a live module under --pm-threads without transferring
-//    ownership; the arena's allocation path is thread-safe.
+//    (ir::parseModuleInto, ir::cloneOpInto), so a worker replays entries
+//    that another worker stored into its own live module without
+//    transferring ownership.
 //
 // Observability
 // -------------
@@ -89,8 +85,8 @@
 //    worker thread is a named lane ("worker-N"); every job contributes
 //    an async span from batch start to job completion, nested over its
 //    frontend parse span, one span per (module, pass) step annotated
-//    with the cache outcome ("cache: run" vs "cache: replay"),
-//    per-function fan-out spans, and cache disk-IO spans. When disabled
+//    with the cache outcome ("cache: run" vs "cache: replay"), and
+//    cache disk-IO spans. When disabled
 //    (the default), instrumentation costs one relaxed atomic load per
 //    site — the recorder is compiled in but never buffers.
 //
@@ -108,9 +104,9 @@
 //    (module name, failing pass or stage, reason). The rest of the batch
 //    compiles normally, compileAll() returns with every job ready(), and
 //    the process never terminates on a job failure. Exceptions escaping
-//    a scheduler task are additionally contained by the worker loop
-//    itself (scheduler.task_exceptions metric); any job whose task chain
-//    was severed that way is swept and marked failed when the batch
+//    a module's compile are additionally contained at its dispatch
+//    (ModuleBatch::runModule, scheduler.task_exceptions metric); any
+//    job cut short that way is swept and marked failed when the queue
 //    drains, so every job still resolves.
 //
 //  - Cancellation and deadlines. CompileJob::cancel() requests
@@ -140,8 +136,8 @@
 //
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
-//    "cache.*" (hits/misses/stores/disk), "scheduler.*"
-//    (tasks/steals/injects/parks/idle-wakeups), "session.*" (jobs
+//    "cache.*" (hits/misses/stores/disk), "scheduler.*" (tasks: module
+//    dispatches; task_exceptions: dispatches cut short), "session.*" (jobs
 //    completed/failed, job-latency histogram), "pm.pass_seconds",
 //    "pass.<pass>.<stat>" (mirrors of every Pass::Statistic), and
 //    "arena.reserved_bytes" (live IR slab bytes; .peak tracks the
@@ -179,9 +175,9 @@ struct CompileResult {
 class CompileJob;
 
 struct SessionOptions {
-  /// Workers in the session's shared pool; >1 runs the batch's parse
-  /// and pass steps (and per-function fan-out) in parallel. 1 disables
-  /// the pool entirely.
+  /// Workers in the session's shared pool: how many modules compile at
+  /// once, each start to finish on one worker. 1 disables the pool
+  /// entirely.
   unsigned threads = 1;
 
   /// Verify every module after every pass, attributing breakage to the
@@ -315,11 +311,11 @@ public:
   CompileJob &addModule(std::string name, ir::OwnedModule module,
                         transforms::PipelineOptions pipeline = {});
 
-  /// Compiles every job still queued: every pipeline group's DAG batch
-  /// on one scheduler over the pool (see "Batch scheduling" above and
-  /// PassManager::scheduleBatch). With per-module instrumentation
-  /// (configurePassManager) the scheduler drains on the calling thread,
-  /// one module at a time. Already-compiled jobs are not recompiled (a
+  /// Compiles every job still queued: every pipeline group's modules
+  /// drain from one queue across the pool's team (see "Batch
+  /// scheduling" above and PassManager::makeBatch). With per-module
+  /// instrumentation (configurePassManager) the queue drains on the
+  /// calling thread, one module at a time. Already-compiled jobs are not recompiled (a
   /// second compileAll is a no-op for them). Returns whether every job
   /// in the session has compiled successfully.
   bool compileAll();
@@ -354,7 +350,7 @@ private:
   void markDone(CompileJob &job, bool ok);
   /// Frontend for one job: parse + IR verification; false (with the
   /// reason in the job's diagnostics) when either fails. Thread-safe
-  /// across distinct jobs; the DAG runs it as each module's leaf task.
+  /// across distinct jobs; it runs as each module's prepare step.
   bool runFrontendOne(CompileJob &job);
   /// End-of-pipeline verification gate, run as each module's chain
   /// completes: skipped when verify-each already covered the final

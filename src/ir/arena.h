@@ -19,12 +19,15 @@
 //     node's memory stays in the arena until the module dies. Memory is
 //     monotonic per module and bounded by what the pipeline materializes.
 //
-// Allocation is thread-safe because the batch schedulers fan function
-// passes of one module across workers: the hot path is one atomic
-// fetch_add on the current slab; slab exhaustion takes a mutex to chain a
-// new slab (doubling size, capped). Destructor registration is a lock-free
-// CAS push (rare path). Two threads may allocate concurrently, but — as
-// before this arena existed — must not mutate the same IR node.
+// Allocation is thread-safe. The compile side does not need it today: a
+// batch compiles each module start to finish on one worker, so one
+// module's arena sees one thread at a time. It stays so that a module may
+// be built on one thread and used on another, and so that any user that
+// does allocate from two threads at once is safe: the hot path is one
+// atomic fetch_add on the current slab; slab exhaustion takes a mutex to
+// chain a new slab (doubling size, capped). Destructor registration is a
+// lock-free CAS push (rare path). Two threads may allocate concurrently,
+// but — as before this arena existed — must not mutate the same IR node.
 #pragma once
 
 #include <atomic>

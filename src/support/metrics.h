@@ -18,7 +18,8 @@
 
 namespace paralift::metrics {
 
-/// Monotonic event count (cache hits, steals, jobs completed, ...).
+/// Monotonic event count (cache hits, module dispatches, jobs completed,
+/// ...).
 class Counter {
 public:
   void add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
@@ -88,7 +89,7 @@ private:
 };
 
 /// The process-wide registry. Names are dotted paths by convention:
-/// "cache.hits", "scheduler.steals", "session.job_latency_s",
+/// "cache.hits", "scheduler.tasks", "session.job_latency_s",
 /// "arena.reserved_bytes", "pass.cse.num-erased".
 class MetricsRegistry {
 public:

@@ -4,11 +4,9 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
-#include "runtime/thread_pool.h"
 #include "support/failpoint.h"
 #include "support/trace.h"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -333,8 +331,6 @@ namespace {
 /// "pass.run" failpoint, runs `body`, and converts any escaping
 /// exception into a structured diagnostic attributed to the pass — a
 /// throwing pass fails its module, never the batch or the process.
-/// Essential on pool/scheduler workers, where an uncaught exception
-/// would otherwise unwind into the worker loop.
 template <typename Fn>
 bool runPassContained(const std::string &passName, DiagnosticEngine &diag,
                       Fn &&body) {
@@ -519,41 +515,43 @@ bool PassManager::spliceModule(ModuleOp module,
 }
 
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
-  // A pool only pays off when some function pass can fan out; inside a
-  // parallel region the scheduler drains on the calling thread anyway.
-  std::unique_ptr<runtime::ThreadPool> pool;
-  bool anyFunctionPass =
-      std::any_of(passes_.begin(), passes_.end(),
-                  [](const auto &p) { return p->isFunctionPass(); });
-  if (threads_ > 1 && anyFunctionPass &&
-      !runtime::ThreadPool::insideParallel())
-    pool = std::make_unique<runtime::ThreadPool>(threads_);
-  runtime::TaskScheduler sched(pool.get());
   std::vector<BatchItem> items(1);
   items[0].module = module.op;
   items[0].diag = &diag;
-  std::shared_ptr<BatchDag> dag =
-      scheduleBatch(sched, std::move(items), BatchOptions());
-  sched.run();
-  dag->foldTiming();
-  if (!dag->finished(0))
+  std::unique_ptr<ModuleBatch> batch =
+      makeBatch(std::move(items), BatchOptions());
+  batch->runModule(0);
+  batch->foldTiming();
+  if (!batch->finished(0))
     diag.error(SourceLoc(), "pass pipeline aborted before completion "
-                            "(exception contained by the scheduler)");
-  return dag->results()[0] != 0;
+                            "(exception contained at module dispatch)");
+  return batch->results()[0] != 0;
 }
 
 //===----------------------------------------------------------------------===//
-// Dependency-DAG batch scheduling
+// Module batches
 //===----------------------------------------------------------------------===//
 
 namespace {
 const char *const kRoundTripError =
     "pass-cache: cached IR failed to re-parse (print/parse round-trip bug)";
+
+/// Module-dispatch counters in the process-wide registry, resolved once.
+struct DispatchCounters {
+  metrics::Counter &tasks;
+  metrics::Counter &taskExceptions;
+};
+
+DispatchCounters &dispatchCounters() {
+  auto &reg = metrics::MetricsRegistry::instance();
+  static DispatchCounters *c =
+      new DispatchCounters{reg.counter("scheduler.tasks"),
+                           reg.counter("scheduler.task_exceptions")};
+  return *c;
+}
 } // namespace
 
-/// One module's scheduling state (owned by exactly one task at a time;
-/// see the ownership note in the header).
-struct BatchDag::Mod {
+struct ModuleBatch::Mod {
   ir::Op *module = nullptr;
   DiagnosticEngine *diag = nullptr;
   std::function<std::optional<ModuleOp>()> prepare;
@@ -565,25 +563,14 @@ struct BatchDag::Mod {
   /// The current step ran the pass on some IR rather than replaying it
   /// all from the cache (the step's trace annotation).
   bool stepExecuted = false;
-  /// The chain reached finish(), successfully or not.
+  /// The module reached finish(), successfully or not.
   bool finished = false;
+  /// One record per executed (module, pass) step, under enableTiming.
+  std::vector<PassTimingReport::Record> timing;
 };
 
-/// Join state of one fanned-out function-pass step: per-function run
-/// tasks decrement `left`; the last finisher ends the step and resumes
-/// the module chain at the next pass.
-struct BatchDag::Fan {
-  FunctionPass *pass = nullptr;
-  std::string spec;
-  std::vector<FuncRun> items;
-  std::vector<DiagnosticEngine> diags;
-  std::vector<char> oks;
-  std::atomic<size_t> left{0};
-};
-
-BatchDag::BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
-                   PassManager::BatchOptions opts)
-    : pm_(pm), sched_(sched), opts_(std::move(opts)) {
+ModuleBatch::ModuleBatch(PassManager &pm, PassManager::BatchOptions opts)
+    : pm_(pm), opts_(std::move(opts)) {
   for (const auto &pass : pm_.passes_) {
     bool lazy = true;
     for (const auto &ins : pm_.instrumentations_)
@@ -592,52 +579,27 @@ BatchDag::BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
   }
 }
 
-BatchDag::~BatchDag() = default;
+ModuleBatch::~ModuleBatch() = default;
 
-bool BatchDag::finished(size_t i) const { return mods_[i]->finished; }
+bool ModuleBatch::finished(size_t i) const { return mods_[i]->finished; }
 
-void BatchDag::addSample(unsigned worker, size_t i, const std::string &spec,
-                         double seconds, uint64_t arenaDelta) {
-  samples_[worker].push_back(
-      {i, mods_[i]->passIdx, spec, seconds, arenaDelta});
+void ModuleBatch::addTiming(size_t i, const std::string &spec,
+                            double seconds, uint64_t arenaDelta) {
+  Mod &m = *mods_[i];
+  m.timing.push_back({spec, seconds, arenaDelta, m.diag->moduleName()});
 }
 
-void BatchDag::foldTiming() const {
+void ModuleBatch::foldTiming() const {
   if (!pm_.timing_)
     return;
-  // Stable presentation order — module, then pipeline position —
-  // regardless of which workers ran what when.
-  struct Key {
-    size_t mod;
-    size_t pass;
-  };
-  std::vector<std::pair<Key, PassTimingReport::Record>> rows;
-  for (const auto &workerSamples : samples_) {
-    for (const Sample &s : workerSamples) {
-      auto it = std::find_if(rows.begin(), rows.end(), [&](const auto &r) {
-        return r.first.mod == s.mod && r.first.pass == s.pass;
-      });
-      if (it == rows.end()) {
-        rows.push_back({{s.mod, s.pass},
-                        {s.spec, s.seconds, s.arenaDelta,
-                         mods_[s.mod]->diag->moduleName()}});
-      } else {
-        it->second.seconds += s.seconds;
-        it->second.arenaDeltaBytes += s.arenaDelta;
-      }
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const auto &a, const auto &b) {
-    return a.first.mod != b.first.mod ? a.first.mod < b.first.mod
-                                      : a.first.pass < b.first.pass;
-  });
   // Append (never merge into existing rows): a pipeline running the same
   // spec at two positions keeps two rows, one per execution.
-  for (auto &row : rows)
-    pm_.timing_->records.push_back(row.second);
+  for (const auto &m : mods_)
+    pm_.timing_->records.insert(pm_.timing_->records.end(),
+                                m->timing.begin(), m->timing.end());
 }
 
-void BatchDag::finish(size_t i, bool ok) {
+void ModuleBatch::finish(size_t i, bool ok) {
   Mod &m = *mods_[i];
   if (ok && m.module) {
     if (!pm_.materializeAll(ModuleOp(m.module), m.st)) {
@@ -651,7 +613,7 @@ void BatchDag::finish(size_t i, bool ok) {
     opts_.onModuleDone(i, ok);
 }
 
-void BatchDag::fail(size_t i) {
+void ModuleBatch::fail(size_t i) {
   Mod &m = *mods_[i];
   // Leave the failed module's (partially transformed) IR materialized;
   // a round-trip failure here is secondary to the abort being reported.
@@ -662,7 +624,7 @@ void BatchDag::fail(size_t i) {
   finish(i, false);
 }
 
-bool BatchDag::enterStep(size_t i, Pass &pass) {
+bool ModuleBatch::enterStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
   // Before a pass some instrumentation inspects, every pending replay is
@@ -678,7 +640,7 @@ bool BatchDag::enterStep(size_t i, Pass &pass) {
   return true;
 }
 
-bool BatchDag::exitStep(size_t i) {
+bool ModuleBatch::exitStep(size_t i) {
   Mod &m = *mods_[i];
   m.stepOpen = false;
   Pass &pass = *pm_.passes_[m.passIdx];
@@ -692,18 +654,7 @@ bool BatchDag::exitStep(size_t i) {
   return ok && m.diag->numErrors() == errorsBefore;
 }
 
-bool BatchDag::endStep(size_t i) {
-  if (!exitStep(i)) {
-    fail(i);
-    return false;
-  }
-  Mod &m = *mods_[i];
-  ++m.passIdx;
-  m.stepExecuted = false;
-  return true;
-}
-
-bool BatchDag::checkJobLimits(size_t i, Pass &pass) {
+bool ModuleBatch::checkJobLimits(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
   if (i < opts_.cancels.size() && opts_.cancels[i]) {
     std::string reason = opts_.cancels[i]->expiredReason();
@@ -728,15 +679,29 @@ bool BatchDag::checkJobLimits(size_t i, Pass &pass) {
   return false;
 }
 
-void BatchDag::startModule(size_t i, unsigned worker) {
+void ModuleBatch::runModule(size_t i) {
+  DispatchCounters &c = dispatchCounters();
+  // Pass steps catch what they throw (compile); this covers the rest —
+  // the failpoint, prepare's diagnostics, finish's hooks — so a throw
+  // never reaches the dispatching thread's loop. The module stays
+  // unfinished, and its owner resolves it as failed.
+  try {
+    failpoint::evaluate("scheduler.task");
+    compile(i);
+  } catch (...) {
+    c.taskExceptions.add();
+  }
+  c.tasks.add();
+}
+
+void ModuleBatch::compile(size_t i) {
   Mod &m = *mods_[i];
   {
     trace::TraceSpan span(spanName("start:", m.diag->moduleName()), "pm");
     if (m.prepare) {
-      // The prepare hook crosses into frontend code on a scheduler
-      // worker; contain anything it throws as this module's parse
-      // failure (the session's own hook catches too — this covers
-      // callers that schedule batches directly).
+      // The prepare hook crosses into frontend code; contain anything it
+      // throws as this module's parse failure (the session's own hook
+      // catches too — this covers other callers of makeBatch).
       std::optional<ModuleOp> parsed;
       try {
         parsed = m.prepare();
@@ -753,43 +718,30 @@ void BatchDag::startModule(size_t i, unsigned worker) {
       }
       m.module = parsed->op;
     }
-    // Initial keying: one structural-hash walk per function, on whatever
-    // worker this leaf landed on — with every module a separate leaf, the
-    // walks fan across the pool instead of forming a serial prologue.
+    // Initial keying: one structural-hash walk per function.
     if (pm_.cache_) {
       ModuleOp module(m.module);
       for (ir::Op *func : collectFuncs(module))
         m.st.irHash[func] = ir::hashOp(func);
     }
   }
-  advance(i, worker);
-}
-
-void BatchDag::advance(size_t i, unsigned worker) {
-  Mod &m = *mods_[i];
-  while (true) {
-    if (m.passIdx >= pm_.passes_.size()) {
-      finish(i, true);
-      return;
-    }
+  for (; m.passIdx < pm_.passes_.size(); ++m.passIdx) {
     Pass &pass = *pm_.passes_[m.passIdx];
     // Step boundary: cancellation/deadline and the arena cap are polled
     // here, where the module is quiescent.
     if (checkJobLimits(i, pass))
       return;
-    Step s = Step::Failed;
+    bool ok = false;
     {
       trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
       // Pass bodies are individually contained (runPassContained); this
       // outer catch covers the step machinery itself — hooks, cache
-      // probes, materialization, hashing — so no exception ever unwinds
-      // into the scheduler's worker loop.
+      // probes, materialization, hashing.
       try {
-        if (enterStep(i, pass))
-          s = pass.isFunctionPass()
-                  ? runFunctionPass(i, static_cast<FunctionPass &>(pass),
-                                    worker)
-                  : runModulePass(i, pass, worker);
+        ok = enterStep(i, pass) &&
+             (pass.isFunctionPass()
+                  ? runFunctionPass(i, static_cast<FunctionPass &>(pass))
+                  : runModulePass(i, pass));
       } catch (const std::exception &e) {
         m.diag->error(SourceLoc(), "pass step '" + pass.name() +
                                        "' threw: " + e.what());
@@ -803,20 +755,24 @@ void BatchDag::advance(size_t i, unsigned worker) {
         return;
       }
       if (span.active()) {
-        if (s == Step::Advanced)
+        if (ok)
           span.annotate("cache", m.stepExecuted ? "run" : "replay");
         else
-          span.annotate("step", s == Step::Yielded ? "yielded" : "failed");
+          span.annotate("step", "failed");
       }
     }
-    // Yielded: the fan join owns the module now. Failed: done.
-    if (s != Step::Advanced || !endStep(i))
+    if (!ok)
       return;
+    if (!exitStep(i)) {
+      fail(i);
+      return;
+    }
+    m.stepExecuted = false;
   }
+  finish(i, true);
 }
 
-BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
-                                       unsigned worker) {
+bool ModuleBatch::runModulePass(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
   DiagnosticEngine &diag = *m.diag;
@@ -833,7 +789,7 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     if (auto hit = cache->lookup(input, spec)) {
       if (pm_.spliceModule(module, *hit, m.st)) {
         cache->notePassReplayed();
-        return Step::Advanced;
+        return true;
       }
       // Unparseable entry: recompute (rare; the corrupt key is simply
       // overwritten by the store below).
@@ -841,7 +797,7 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
     if (!pm_.materializeAll(module, m.st)) {
       diag.error(SourceLoc(), kRoundTripError);
       fail(i);
-      return Step::Failed;
+      return false;
     }
     cache->notePassExecuted();
   }
@@ -856,11 +812,11 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
           .count();
   passSecondsHistogram().observe(secs);
   if (pm_.timing_)
-    addSample(worker, i, pass.spec(), secs,
+    addTiming(i, pass.spec(), secs,
               module.op->arena().bytesAllocated() - arenaStart);
   if (!okRun || diag.numErrors() > errorsBefore) {
     fail(i);
-    return Step::Failed;
+    return false;
   }
   if (cache) {
     m.st.irHash.clear();
@@ -882,11 +838,10 @@ BatchDag::Step BatchDag::runModulePass(size_t i, Pass &pass,
       entry.ir = ir::printOp(module.op);
     cache->store(input, spec, std::move(entry));
   }
-  return Step::Advanced;
+  return true;
 }
 
-BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
-                                         unsigned worker) {
+bool ModuleBatch::runFunctionPass(size_t i, FunctionPass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
   PassResultCache *cache = pm_.cache_;
@@ -907,100 +862,55 @@ BatchDag::Step BatchDag::runFunctionPass(size_t i, FunctionPass &pass,
       if (!func) {
         m.diag->error(SourceLoc(), kRoundTripError);
         fail(i);
-        return Step::Failed;
+        return false;
       }
     }
     toRun.push_back({func, input});
   }
   if (!toRun.empty())
-    return executeMisses(i, pass, spec, std::move(toRun), worker);
+    return executeMisses(i, pass, spec, toRun);
   if (cache)
     cache->notePassReplayed();
-  return Step::Advanced;
+  return true;
 }
 
-BatchDag::Step BatchDag::executeMisses(size_t i, FunctionPass &pass,
-                                       const std::string &spec,
-                                       std::vector<FuncRun> toRun,
-                                       unsigned worker) {
-  Mod &m = *mods_[i];
-  m.stepExecuted = true;
-  if (pm_.cache_)
-    pm_.cache_->notePassExecuted();
-  auto fan = std::make_shared<Fan>();
-  fan->pass = &pass;
-  fan->spec = spec;
-  fan->items = std::move(toRun);
-  fan->diags.resize(fan->items.size());
-  fan->oks.assign(fan->items.size(), 0);
-  for (DiagnosticEngine &d : fan->diags)
-    d.setModuleName(m.diag->moduleName());
-  if (fan->items.size() >= 2 && sched_.workers() > 1) {
-    // Fan the functions out as their own (function, pass-index) tasks;
-    // the last finisher completes the step and resumes the chain.
-    fan->left.store(fan->items.size(), std::memory_order_relaxed);
-    auto self = shared_from_this();
-    for (size_t k = 0; k < fan->items.size(); ++k) {
-      sched_.spawn([self, i, fan, k](unsigned w) {
-        trace::TraceSpan span(spanName("fn:", fan->spec), "pm");
-        if (span.active())
-          span.annotate("mod", fan->diags[k].moduleName());
-        self->runFanItem(i, *fan, k, w);
-        if (fan->left.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            self->completeStep(i, *fan) && self->endStep(i))
-          self->advance(i, w);
-      });
-    }
-    return Step::Yielded;
-  }
-  // Inline: run on this worker, then complete the step directly.
-  for (size_t k = 0; k < fan->items.size(); ++k)
-    runFanItem(i, *fan, k, worker);
-  return completeStep(i, *fan) ? Step::Advanced : Step::Failed;
-}
-
-void BatchDag::runFanItem(size_t i, Fan &fan, size_t k, unsigned worker) {
-  ir::Op *func = fan.items[k].func;
-  // Siblings of a fanned step allocate into the same module arena
-  // concurrently, so per-function arena deltas within one fan are
-  // approximate.
-  uint64_t arenaStart = func->arena().bytesAllocated();
-  auto t0 = std::chrono::steady_clock::now();
-  fan.oks[k] = runPassContained(fan.pass->name(), fan.diags[k],
-                                [&] {
-                                  return fan.pass->runOnFunction(
-                                      func, fan.diags[k]);
-                                })
-                   ? 1
-                   : 0;
-  double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  passSecondsHistogram().observe(secs);
-  if (pm_.timing_)
-    addSample(worker, i, fan.spec, secs,
-              func->arena().bytesAllocated() - arenaStart);
-}
-
-bool BatchDag::completeStep(size_t i, Fan &fan) {
+bool ModuleBatch::executeMisses(size_t i, FunctionPass &pass,
+                                const std::string &spec,
+                                const std::vector<FuncRun> &toRun) {
   Mod &m = *mods_[i];
   PassResultCache *cache = pm_.cache_;
-  bool anyFailed = false;
-  for (size_t k = 0; k < fan.items.size(); ++k) {
-    m.diag->mergeFrom(fan.diags[k]);
-    anyFailed |= !fan.oks[k] || fan.diags[k].hasErrors();
+  m.stepExecuted = true;
+  if (cache)
+    cache->notePassExecuted();
+  size_t errorsBefore = m.diag->numErrors();
+  uint64_t arenaStart = m.module->arena().bytesAllocated();
+  double stepSecs = 0;
+  bool ok = true;
+  for (const FuncRun &r : toRun) {
+    auto t0 = std::chrono::steady_clock::now();
+    ok = runPassContained(pass.name(), *m.diag,
+                          [&] { return pass.runOnFunction(r.func, *m.diag); }) &&
+         ok;
+    double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    passSecondsHistogram().observe(secs);
+    stepSecs += secs;
   }
-  if (anyFailed) {
+  if (pm_.timing_)
+    addTiming(i, spec, stepSecs,
+              m.module->arena().bytesAllocated() - arenaStart);
+  if (!ok || m.diag->numErrors() > errorsBefore) {
     fail(i); // a failed module stores nothing for the step
     return false;
   }
   if (!cache)
     return true;
-  for (const FuncRun &r : fan.items) {
+  for (const FuncRun &r : toRun) {
     // A function the pass left unchanged is stored as an identity
     // entry, skipping the print here and the splice on every replay.
     Hash128 outputHash = ir::hashOp(r.func);
-    cache->store(r.input, fan.spec,
+    cache->store(r.input, spec,
                  outputHash == r.input ? std::string() : ir::printOp(r.func),
                  outputHash);
     m.st.irHash[r.func] = outputHash;
@@ -1008,28 +918,22 @@ bool BatchDag::completeStep(size_t i, Fan &fan) {
   return true;
 }
 
-std::shared_ptr<BatchDag>
-PassManager::scheduleBatch(runtime::TaskScheduler &sched,
-                           std::vector<BatchItem> items, BatchOptions opts) {
+std::unique_ptr<ModuleBatch>
+PassManager::makeBatch(std::vector<BatchItem> items, BatchOptions opts) {
   for (auto &pass : passes_)
     pass->setStatisticsEnabled(collectStats_);
 
-  auto dag = std::shared_ptr<BatchDag>(
-      new BatchDag(*this, sched, std::move(opts)));
-  dag->mods_.reserve(items.size());
+  std::unique_ptr<ModuleBatch> batch(new ModuleBatch(*this, std::move(opts)));
+  batch->mods_.reserve(items.size());
   for (BatchItem &item : items) {
-    auto mod = std::make_unique<BatchDag::Mod>();
+    auto mod = std::make_unique<ModuleBatch::Mod>();
     mod->module = item.module;
     mod->diag = item.diag;
     mod->prepare = std::move(item.prepare);
-    dag->mods_.push_back(std::move(mod));
+    batch->mods_.push_back(std::move(mod));
   }
-  dag->ok_.assign(items.size(), 0);
-  dag->samples_.resize(sched.workers());
-  for (size_t i = 0; i < dag->mods_.size(); ++i)
-    sched.spawn(
-        [dag, i](unsigned worker) { dag->startModule(i, worker); });
-  return dag;
+  batch->ok_.assign(items.size(), 0);
+  return batch;
 }
 
 std::string PassManager::pipelineSpec() const {

@@ -2,17 +2,18 @@
 //
 //  - Pass: a named, parameterized, restartable unit of IR transformation
 //    with declared options (for textual pipelines) and statistics counters.
-//  - FunctionPass: a pass that runs independently on each func, making it
-//    schedulable across kernels in parallel on the runtime thread pool.
+//  - FunctionPass: a pass that runs independently on each func, so its
+//    results can be cached and replayed per function.
 //  - Instrumentation: hooks around every pass execution. Built-ins cover
 //    --print-ir-before/after and verify-after-each-pass with a "pass X
 //    broke invariant Y" diagnostic.
 //    Per-pass wall-clock and IR-arena timing (enableTiming) is collected
 //    by the executor itself.
 //  - PassManager: owns an ordered pipeline of passes plus instrumentations
-//    and executes it through one engine, BatchDag: a dependency DAG of
-//    (module, pass) steps on a work-stealing runtime::TaskScheduler.
-//    scheduleBatch runs many modules at once; run() is a batch of one.
+//    and executes it through one engine, ModuleBatch: each module runs
+//    its whole pipeline, pass after pass, on the thread that dispatches
+//    it. makeBatch prepares many modules for any number of threads to
+//    dispatch; run() is a batch of one on the calling thread.
 //    It optionally threads a PassResultCache (transforms/pass_cache.h)
 //    through the pipeline, replaying cached IR for unchanged
 //    (function, pass) pairs instead of re-running passes.
@@ -38,10 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-namespace paralift::runtime {
-class TaskScheduler;
-}
-
 namespace paralift::transforms {
 
 using ir::ModuleOp;
@@ -62,8 +59,8 @@ public:
   const std::string &name() const { return name_; }
   const std::string &description() const { return description_; }
 
-  /// True for FunctionPass subclasses: the pass runs per-func and may be
-  /// scheduled across functions in parallel.
+  /// True for FunctionPass subclasses: the pass runs per-func, and the
+  /// result cache keys and replays it per function.
   virtual bool isFunctionPass() const { return false; }
 
   /// Module-scope entry point. Returns false on a hard error (which must
@@ -108,9 +105,9 @@ public:
   };
 
   /// Finds or creates the named counter. Counter bumps are thread-safe,
-  /// but creation is not: passes that bump statistics from runOnFunction
-  /// (which may run on parallel workers) must create them up front in
-  /// their constructor.
+  /// but creation is not: one pass object runs on several modules at
+  /// once in a threaded batch, so passes must create their statistics up
+  /// front in their constructor.
   Statistic &statistic(const std::string &name);
   const std::vector<std::unique_ptr<Statistic>> &statistics() const {
     return stats_;
@@ -156,10 +153,9 @@ private:
 };
 
 /// A pass that transforms one function at a time and never looks outside
-/// it. The default module-scope run() applies runOnFunction to every func
-/// serially; the PassManager may instead fan functions out across the
-/// runtime thread pool (each function is a disjoint IR subtree, so
-/// concurrent runs on distinct functions are safe).
+/// it. run() applies runOnFunction to every func in order; the
+/// PassManager does the same, skipping functions whose result it replays
+/// from the cache.
 class FunctionPass : public Pass {
 public:
   using Pass::Pass;
@@ -171,7 +167,7 @@ public:
 /// repeat{n=K}(a,b,...): a composite pass running its children K times in
 /// sequence — the declarative form of the canonicalize/cse fixpoint pairs
 /// in the standard pipeline. Children must be function passes (the repeat
-/// is then itself schedulable per function, and cacheable as one unit
+/// is then itself a function pass, cacheable per function as one unit
 /// whose spec covers the whole body); the registry rejects module passes
 /// inside repeat.
 class RepeatPass : public FunctionPass {
@@ -201,7 +197,7 @@ size_t countNestedOps(ir::Op *root, ir::OpKind kind);
 // Instrumentation
 //===----------------------------------------------------------------------===//
 
-/// Instrumentations nest around each (module, pass) step of the DAG:
+/// Instrumentations nest around each (module, pass) step of a batch:
 /// beforePass hooks fire in installation order and afterPass hooks in
 /// reverse, so the first-installed instrumentation is outermost. Steps of
 /// one module never overlap, but in a multi-module batch the hooks of
@@ -239,10 +235,10 @@ public:
 
 /// Per-pass wall-clock timing and IR-arena growth, one record per
 /// (module, pass) step that executed, in module then pipeline order.
-/// Filled when PassManager::enableTiming installed the report: every DAG
-/// step clocks its pass bodies per worker, and BatchDag::foldTiming
-/// appends the folded rows. Steps replayed from the result cache run no
-/// pass body and record nothing.
+/// Filled when PassManager::enableTiming installed the report: every
+/// step clocks its pass bodies into its module's records, and
+/// ModuleBatch::foldTiming appends them. Steps replayed from the result
+/// cache run no pass body and record nothing.
 struct PassTimingReport {
   struct Record {
     std::string spec; ///< canonical pass spec at execution time
@@ -253,9 +249,8 @@ struct PassTimingReport {
     /// this attributes the IR materialized by the pass to that pass.
     uint64_t arenaDeltaBytes = 0;
     /// Module the time is attributed to (its diagnostics' module name;
-    /// empty for unnamed modules). Per-worker clocks are folded by
-    /// (module, pass) into one row each, so --timing reports true
-    /// per-module per-pass time under parallel batch scheduling.
+    /// empty for unnamed modules): one row per (module, pass), so
+    /// --timing reports per-module per-pass time in a threaded batch.
     std::string module;
   };
   std::vector<Record> records;
@@ -305,8 +300,8 @@ private:
 // CancellationToken
 //===----------------------------------------------------------------------===//
 
-/// Cooperative cancellation and deadline for one compile job. The DAG
-/// executor (scheduleBatch, via BatchOptions::cancels) polls it at step
+/// Cooperative cancellation and deadline for one compile job. The batch
+/// executor (makeBatch, via BatchOptions::cancels) polls it at step
 /// boundaries — an expired job fails with an attributed diagnostic
 /// ("cancelled ..." / "deadline exceeded after Ns in pass P") before its
 /// next pass starts; the pass currently executing is never interrupted
@@ -342,7 +337,7 @@ private:
 // PassManager
 //===----------------------------------------------------------------------===//
 
-class BatchDag;
+class ModuleBatch;
 
 class PassManager {
 public:
@@ -357,8 +352,8 @@ public:
   void addInstrumentation(std::unique_ptr<Instrumentation> ins);
 
   /// Collects per-pass timing into `report` (owned by the caller): run()
-  /// appends its records before returning; scheduleBatch callers append
-  /// them with BatchDag::foldTiming once the scheduler drained.
+  /// appends its records before returning; makeBatch callers append
+  /// them with ModuleBatch::foldTiming once every module ran.
   void enableTiming(PassTimingReport *report) { timing_ = report; }
   /// Installs verify-after-each-pass.
   void enableVerifyEach();
@@ -381,21 +376,14 @@ public:
   void setResultCache(PassResultCache *cache) { cache_ = cache; }
   PassResultCache *resultCache() const { return cache_; }
 
-  /// Number of threads run() schedules its steps on (function passes fan
-  /// out across functions); above 1, run() builds its own pool for the
-  /// call. 1 (the default) drains every step on the calling thread.
-  void setThreadCount(unsigned n) { threads_ = n == 0 ? 1 : n; }
-  unsigned threadCount() const { return threads_; }
-
-  /// Knobs for a DAG batch (scheduleBatch).
+  /// Knobs for a module batch (makeBatch).
   /// Instrumentations installed via enable*/addInstrumentation wrap every
   /// step of every module in the batch.
   struct BatchOptions {
-    /// Invoked (on whatever worker ran the final step) the moment a
-    /// module's last pass — or terminal cache splice — has completed and
-    /// its IR is materialized, long before the rest of the batch drains.
-    /// This is what lets CompileJob futures resolve incrementally inside
-    /// one batch.
+    /// Invoked on the dispatching thread the moment a module's last pass
+    /// — or terminal cache splice — has completed and its IR is
+    /// materialized, before the next module is dispatched. This is what
+    /// lets CompileJobs resolve incrementally inside one batch.
     std::function<void(size_t index, bool ok)> onModuleDone;
     /// Per-module cancellation/deadline tokens, parallel to the
     /// modules/items vector (missing or null slots are never cancelled).
@@ -408,47 +396,42 @@ public:
     uint64_t maxArenaBytes = 0;
   };
 
-  /// Runs every pass in order over `module`: scheduleBatch over this one
-  /// pre-parsed module on a TaskScheduler wrapping a fresh pool when
-  /// threadCount() > 1 (none at 1, where the calling thread drains every
-  /// step). Stops at the first failure (a pass returning false, a new
-  /// diagnostic error, or an instrumentation abort) and returns false.
+  /// Runs every pass in order over `module` on the calling thread: a
+  /// ModuleBatch of this one pre-parsed module. Stops at the first
+  /// failure (a pass returning false, a new diagnostic error, or an
+  /// instrumentation abort) and returns false.
   bool run(ModuleOp module, DiagnosticEngine &diag);
 
-  /// One module of a DAG batch (scheduleBatch). Either `module` is a
-  /// live module op, or `prepare` produces one as a leaf task of the
-  /// graph — so parsing one module overlaps other modules' passes.
+  /// One module of a batch (makeBatch). Either `module` is a live module
+  /// op, or `prepare` produces one when the module is dispatched — so a
+  /// threaded batch parses its modules in parallel too.
   struct BatchItem {
     ir::Op *module = nullptr; ///< pre-parsed module, or null with prepare
     DiagnosticEngine *diag = nullptr;
-    /// Parses/builds the module on a worker; nullopt on frontend failure
-    /// (which must be reported through `diag`).
+    /// Parses/builds the module; nullopt on frontend failure (which must
+    /// be reported through `diag`).
     std::function<std::optional<ModuleOp>()> prepare;
   };
 
-  /// Dependency-DAG batch scheduling, the one pass-execution engine:
-  /// enqueues onto `sched` one leaf task per module (prepare/parse +
-  /// initial ir::hashOp keying) and one task per (module, pass) step,
-  /// chained only by each module's own pipeline order — module B runs
-  /// pass 3 while module A is still parsing, and a module's CompileJob
-  /// resolves (opts.onModuleDone) the moment its own last step lands
-  /// instead of at end of batch. A step whose function pass misses the
-  /// cache on several functions fans them out as their own tasks. The
-  /// result cache is a plain memo: a module replays what earlier steps
-  /// stored, while identical kernels compiled at the same moment each run
-  /// their passes. Pass execution on a given input is deterministic, so
-  /// outputs are bit-for-bit identical to serial compiles regardless of
+  /// Prepares `items` for dispatch through this pipeline, the one
+  /// pass-execution engine. The caller dispatches each module once with
+  /// ModuleBatch::runModule, from any thread: each call prepares and
+  /// keys its module (ir::hashOp), then runs every pass in order, and
+  /// opts.onModuleDone resolves the module the moment its own last step
+  /// lands. Distinct modules may run concurrently; sessions drain the
+  /// modules of every pipeline group from one shared queue. The result
+  /// cache is a plain memo: a module replays what earlier steps stored,
+  /// while identical kernels compiled at the same moment each run their
+  /// passes. Pass execution on a given input is deterministic, so outputs
+  /// are bit-for-bit identical to serial compiles regardless of
   /// interleaving. A failing module (pass error, verifier breakage,
   /// expired token) stops advancing and is left materialized; the rest
   /// of the batch continues unaffected (job-level isolation).
   ///
-  /// The caller runs `sched` (several PassManagers — pipeline groups —
-  /// may schedule onto one scheduler; their graphs interleave freely)
-  /// and must keep the returned state alive until the scheduler drains;
-  /// BatchDag::results() then holds per-module success.
-  std::shared_ptr<BatchDag> scheduleBatch(runtime::TaskScheduler &sched,
-                                          std::vector<BatchItem> items,
-                                          BatchOptions opts);
+  /// This PassManager must outlive the batch; ModuleBatch::results()
+  /// holds per-module success once every module ran.
+  std::unique_ptr<ModuleBatch> makeBatch(std::vector<BatchItem> items,
+                                         BatchOptions opts);
 
   /// The canonical textual pipeline, e.g. "inline,canonicalize,
   /// unroll{max-trip=16}". Feeding it back through the registry's
@@ -463,14 +446,14 @@ public:
   /// accepted but not yet spliced into the module (consecutive hits only
   /// advance the hash chain; IR is materialized when a pass actually has
   /// to execute, when an instrumentation inspects it, or at end of run).
-  /// Public only for BatchDag's per-module state; not a client API.
+  /// Public only for ModuleBatch's per-module state; not a client API.
   struct CacheState {
     std::unordered_map<ir::Op *, Hash128> irHash;
     std::unordered_map<ir::Op *, std::string> pending;
   };
 
 private:
-  friend class BatchDag;
+  friend class ModuleBatch;
 
   /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
   /// first use; never prints.
@@ -497,68 +480,60 @@ private:
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
-  unsigned threads_ = 1;
   bool collectStats_ = false;
   PassResultCache *cache_ = nullptr;
   PassTimingReport *timing_ = nullptr;
 };
 
 //===----------------------------------------------------------------------===//
-// BatchDag
+// ModuleBatch
 //===----------------------------------------------------------------------===//
 
-/// Live state of one pipeline group's dependency-DAG batch, handed out
-/// by PassManager::scheduleBatch and kept alive jointly by the caller
-/// and the in-flight tasks. Query after the scheduler drained.
-class BatchDag : public std::enable_shared_from_this<BatchDag> {
+/// The modules of one pipeline group, handed out by
+/// PassManager::makeBatch. Each module is dispatched once, with
+/// runModule, and compiles start to finish on the dispatching thread.
+class ModuleBatch {
 public:
-  ~BatchDag();
+  ~ModuleBatch();
 
-  /// Per-module success, in item order; stable once the scheduler ran.
-  /// A module whose task chain was severed (an exception contained by
-  /// the scheduler's worker loop) never finished and reads as failed.
+  /// Compiles module `i`: prepare, initial keying, then every pass in
+  /// order, all on the calling thread. Call once per module; distinct
+  /// modules may run concurrently on different threads. This is the
+  /// last line of containment: an exception escaping the module's
+  /// machinery (or the "scheduler.task" failpoint, which fires before
+  /// the module starts) is counted in "scheduler.task_exceptions" and
+  /// leaves the module unfinished, never unwinding into the caller.
+  /// Every call counts one "scheduler.tasks".
+  void runModule(size_t i);
+
+  /// Per-module success, in item order; stable once every module ran.
+  /// A module whose dispatch was cut short by a contained exception
+  /// never finished and reads as failed.
   const std::vector<char> &results() const { return ok_; }
-  /// Whether module `i` reached the end of its chain (succeeded or
-  /// failed) rather than being severed.
+  /// Whether module `i` reached the end of its pipeline (succeeded or
+  /// failed) rather than being cut short.
   bool finished(size_t i) const;
 
-  /// Appends the per-worker (module, pass) clock samples collected while
-  /// the graph ran to the report PassManager::enableTiming installed, in
-  /// module order then pipeline order. Call once, after the scheduler
-  /// drained; no-op without an installed report.
+  /// Appends the (module, pass) timing records collected while the
+  /// modules ran to the report PassManager::enableTiming installed, in
+  /// module order then pipeline order. Call once, after every module
+  /// ran; no-op without an installed report.
   void foldTiming() const;
 
 private:
   friend class PassManager;
 
-  /// One module's scheduling state. Exactly one task at a time owns a
-  /// Mod — ownership passes from the leaf task along the pass chain and
-  /// through fan-out joins — so none of these fields need locks.
+  /// One module's state; only the thread running the module touches it.
   struct Mod;
-  struct Fan;
   struct FuncRun {
     ir::Op *func = nullptr;
     Hash128 input;
   };
-  struct Sample {
-    size_t mod;
-    size_t pass;
-    std::string spec;
-    double seconds;
-    uint64_t arenaDelta;
-  };
-  /// How one pass step over one module ended.
-  enum class Step {
-    Advanced, ///< step complete; the module may move to the next pass
-    Yielded,  ///< ownership handed to the step's fan join
-    Failed    ///< module failed; fail(i) has run
-  };
 
-  BatchDag(PassManager &pm, runtime::TaskScheduler &sched,
-           PassManager::BatchOptions opts);
+  ModuleBatch(PassManager &pm, PassManager::BatchOptions opts);
 
-  void startModule(size_t i, unsigned worker);
-  void advance(size_t i, unsigned worker);
+  /// The module's pipeline loop (runModule minus containment).
+  void compile(size_t i);
   /// Opens the module's step for `pass`: materializes pending replays
   /// when a hook inspects the pass and runs every beforePass hook. False
   /// when the module failed (fail(i) has run).
@@ -566,41 +541,33 @@ private:
   /// Closes the open step: every afterPass hook, in reverse installation
   /// order. False when a hook aborted or reported an error.
   bool exitStep(size_t i);
-  /// Closes the open step and moves the module to its next pass; false
-  /// when exitStep failed the module (fail(i) has run).
-  bool endStep(size_t i);
-  Step runModulePass(size_t i, Pass &pass, unsigned worker);
-  Step runFunctionPass(size_t i, FunctionPass &pass, unsigned worker);
-  Step executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
-                     std::vector<FuncRun> toRun, unsigned worker);
-  /// Runs `fan.pass` on fan item k, clocking it into the pass-time
-  /// histogram and, under enableTiming, the worker's samples.
-  void runFanItem(size_t i, Fan &fan, size_t k, unsigned worker);
-  /// Shared completion tail of a function-pass step (inline and fanned):
-  /// merges worker diagnostics in item order, then either fails the
-  /// module (false) or stores the results and advances the hash chain
-  /// (true).
-  bool completeStep(size_t i, Fan &fan);
-  /// Polls the module's cancellation token (before a step) or arena cap
-  /// (after); on violation records the diagnostic, fails the module, and
-  /// returns true (abort the chain). Called only between steps.
+  /// Run one pass step over module i; false when the module failed
+  /// (fail(i) has run).
+  bool runModulePass(size_t i, Pass &pass);
+  bool runFunctionPass(size_t i, FunctionPass &pass);
+  /// Runs `pass` on every function of `toRun` in order, then either
+  /// fails the module (false) or stores the results and advances the
+  /// hash chain (true).
+  bool executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
+                     const std::vector<FuncRun> &toRun);
+  /// Polls the module's cancellation token and arena cap; on violation
+  /// records the diagnostic, fails the module, and returns true (stop
+  /// the module). Called only between steps.
   bool checkJobLimits(size_t i, Pass &pass);
   void finish(size_t i, bool ok);
   /// Fails module i: materializes its IR, closes an open step (afterPass
   /// hooks still observe a failed pass), and finishes it.
   void fail(size_t i);
-  void addSample(unsigned worker, size_t i, const std::string &spec,
-                 double seconds, uint64_t arenaDelta);
+  void addTiming(size_t i, const std::string &spec, double seconds,
+                 uint64_t arenaDelta);
 
   PassManager &pm_;
-  runtime::TaskScheduler &sched_;
   PassManager::BatchOptions opts_;
   /// Per pipeline position: whether cached replays may stay unspliced
   /// across the pass (no installed instrumentation inspects its IR).
   std::vector<char> lazy_;
   std::vector<std::unique_ptr<Mod>> mods_;
-  std::vector<char> ok_; ///< distinct elements written by distinct owners
-  std::vector<std::vector<Sample>> samples_; ///< one vector per worker
+  std::vector<char> ok_; ///< element i written only by module i's thread
 };
 
 /// Renders one "  <secs> s (<pct>%)  ir <+arenaMB>  <label>" timing row

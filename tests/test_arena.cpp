@@ -1,9 +1,10 @@
 // Arena lifecycle tests: the IRArena allocator itself (slab growth,
 // alignment, destructor records, attr-name interning), the arena-root
 // ownership model (clone-then-destroy-source independence, erase-is-
-// unlink reuse inside one module), and cache replay splicing into a live
-// arena while a threaded pass manager runs (the TSan CI job exercises
+// unlink reuse inside one module), and cache replay splicing into live
+// arenas while a threaded session batch runs (the TSan CI job exercises
 // this file under -DPARALIFT_SANITIZE=thread).
+#include "driver/session.h"
 #include "ir/arena.h"
 #include "ir/builder.h"
 #include "ir/hasher.h"
@@ -250,8 +251,10 @@ TEST(ArenaReplayTest, SplicedReplayLandsInDestinationArena) {
 }
 
 TEST(ArenaReplayTest, ThreadedReplayIntoLiveArena) {
-  // Multi-function module so --pm-threads actually fans functions of one
-  // module (one arena) across pool threads, both executing and replaying.
+  // Several copies of one multi-function module in a 4-worker session
+  // batch against one shared cache: workers execute and replay into the
+  // live arenas of different modules at the same time, and every later
+  // round replays entries that other workers stored.
   std::string text = "module {\n";
   for (int i = 0; i < 6; ++i) {
     std::string n = std::to_string(i);
@@ -275,29 +278,37 @@ TEST(ArenaReplayTest, ThreadedReplayIntoLiveArena) {
   text += "}\n";
 
   const std::string pipeline = "canonicalize,cse,licm,canonicalize";
-  PassResultCache cache;
-  DiagnosticEngine diag;
-
-  OwnedModule first = parseOk(text);
+  std::string expected;
   {
+    // Serial, uncached reference.
+    OwnedModule ref = parseOk(text);
     PassManager pm;
+    DiagnosticEngine diag;
     ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-    pm.setResultCache(&cache);
-    pm.setThreadCount(4);
-    ASSERT_TRUE(pm.run(first.get(), diag)) << diag.str();
+    ASSERT_TRUE(pm.run(ref.get(), diag)) << diag.str();
+    expected = printOp(ref.op());
   }
-  std::string expected = printOp(first.op());
 
+  PassResultCache cache;
   for (int run = 0; run < 3; ++run) {
-    OwnedModule m = parseOk(text);
-    PassManager pm;
-    ASSERT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
-    pm.setResultCache(&cache);
-    pm.setThreadCount(4);
-    ASSERT_TRUE(pm.run(m.get(), diag)) << diag.str();
-    EXPECT_EQ(printOp(m.op()), expected);
-    EXPECT_TRUE(verifyOk(m.op()));
-    // Module (and its arena, including all replayed IR) destroyed here
-    // while the cache stays live — the next round must not observe it.
+    driver::SessionOptions so;
+    so.threads = 4;
+    so.cache = &cache;
+    so.pipelineSpec = pipeline;
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs;
+    for (int copy = 0; copy < 8; ++copy)
+      jobs.push_back(
+          &session.addModule("m" + std::to_string(copy), parseOk(text)));
+    ASSERT_TRUE(session.compileAll());
+    for (driver::CompileJob *job : jobs) {
+      EXPECT_EQ(printOp(job->result().module.op()), expected)
+          << "run " << run << " " << job->name();
+      EXPECT_TRUE(verifyOk(job->result().module.op()));
+    }
+    // Modules (and their arenas, including all replayed IR) are
+    // destroyed with the session while the cache stays live — the next
+    // round must not observe them.
   }
+  EXPECT_GT(cache.stats().passesReplayed, 0u);
 }

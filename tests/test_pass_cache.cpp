@@ -3,7 +3,8 @@
 // downstream prefix misses), replay fidelity (cached compiles are
 // IR-identical to uncached ones across the Rodinia suite, with zero
 // transform pass executions on the second compile), disk persistence
-// with corrupt-entry tolerance, and thread safety under --pm-threads.
+// with corrupt-entry tolerance, and thread safety of one cache shared by
+// the workers of a threaded session batch.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -69,12 +70,11 @@ std::string twoFuncModule(const char *gConst) {
 
 /// Runs `pipeline` over `m` with `cache`; returns printed IR.
 std::string runCached(ModuleOp m, const std::string &pipeline,
-                      PassResultCache *cache, unsigned threads = 1) {
+                      PassResultCache *cache) {
   PassManager pm;
   DiagnosticEngine diag;
   EXPECT_TRUE(buildPipelineFromSpec(pm, pipeline, diag)) << diag.str();
   pm.setResultCache(cache);
-  pm.setThreadCount(threads);
   EXPECT_TRUE(pm.run(m, diag)) << diag.str();
   return printOp(m.op);
 }
@@ -398,17 +398,18 @@ TEST(PassCacheTest, UnwritableDirectoryDegradesToMemoryOnly) {
 
 namespace {
 
-/// CUDA-subset source with many independent kernels so --pm-threads has
-/// real fan-out against one shared cache.
-std::string manyKernelSource() {
+/// CUDA-subset source with many independent kernels; `variant` shifts
+/// the constants so distinct modules hold distinct kernels.
+std::string manyKernelSource(int variant) {
   std::string src;
   for (int k = 0; k < 8; ++k) {
     std::string n = std::to_string(k);
+    std::string c = std::to_string(k + variant + 2);
     src += "__global__ void kern" + n + "(float* a, float* b, int n) {\n"
            "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n"
            "  if (i < n) {\n"
-           "    float x = a[i] * " + std::to_string(k + 2) + ".0f;\n"
-           "    float y = a[i] * " + std::to_string(k + 2) + ".0f;\n"
+           "    float x = a[i] * " + c + ".0f;\n"
+           "    float y = a[i] * " + c + ".0f;\n"
            "    b[i] = x + y;\n"
            "  }\n"
            "}\n"
@@ -422,24 +423,35 @@ std::string manyKernelSource() {
 } // namespace
 
 TEST(PassCacheTest, ThreadSafeUnderPmThreads) {
-  std::string src = manyKernelSource();
-  DiagnosticEngine d0;
-  auto reference = driver::compile(src, PipelineOptions{}, d0);
-  ASSERT_TRUE(reference.ok) << d0.str();
-  std::string golden = printOp(reference.module.op());
+  // Six modules (each variant twice) in a 4-worker batch against one
+  // disk cache: workers look up, store and replay concurrently.
+  const int variants[] = {0, 1, 2, 0, 1, 2};
+  std::vector<std::string> golden;
+  for (int v : variants) {
+    DiagnosticEngine d0;
+    auto reference = driver::compile(manyKernelSource(v), PipelineOptions{},
+                                     d0);
+    ASSERT_TRUE(reference.ok) << d0.str();
+    golden.push_back(printOp(reference.module.op()));
+  }
 
   std::string dir = tempDir("threads");
   PassResultCache cache(dir);
-  driver::SessionOptions so;
-  so.cache = &cache;
-  so.threads = 4;
   // Cold populate and warm replay, both under parallel scheduling, both
   // IR-identical to the serial uncached compile.
   for (int round = 0; round < 2; ++round) {
-    DiagnosticEngine diag;
-    auto cc = driver::compile(src, PipelineOptions{}, diag, so);
-    ASSERT_TRUE(cc.ok) << diag.str();
-    EXPECT_EQ(printOp(cc.module.op()), golden) << "round " << round;
+    driver::SessionOptions so;
+    so.cache = &cache;
+    so.threads = 4;
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs;
+    for (int v : variants)
+      jobs.push_back(&session.addSource("v" + std::to_string(v),
+                                        manyKernelSource(v)));
+    ASSERT_TRUE(session.compileAll());
+    for (size_t i = 0; i < jobs.size(); ++i)
+      EXPECT_EQ(printOp(jobs[i]->result().module.op()), golden[i])
+          << "round " << round << " module " << i;
   }
   EXPECT_GT(cache.stats().passesReplayed, 0u);
   std::filesystem::remove_all(dir);

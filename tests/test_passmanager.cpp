@@ -1,7 +1,7 @@
 // PassManager infrastructure tests: the Pass interface (options,
 // statistics), textual pipeline parsing with parameters and round-trip
-// printing, instrumentation (timing, verify-after-each-pass), parallel
-// per-kernel scheduling, and the guarantee that the declarative
+// printing, instrumentation (timing, verify-after-each-pass), threaded
+// multi-module session batches, and the guarantee that the declarative
 // buildPipeline reproduces the pre-PassManager hardcoded pass sequence
 // bit-for-bit on the Rodinia suite.
 #include "driver/compiler.h"
@@ -386,22 +386,23 @@ TEST(IRPrintTest, PrintsAroundMatchingPass) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel per-kernel scheduling
+// Threaded session batches
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// CUDA-subset source with several independent kernels, so function
-/// passes have real fan-out.
-std::string manyKernelSource() {
+/// CUDA-subset source with several independent kernels; `variant` shifts
+/// the constants so distinct modules hold distinct kernels.
+std::string manyKernelSource(int variant) {
   std::string src;
   for (int k = 0; k < 6; ++k) {
     std::string n = std::to_string(k);
+    std::string c = std::to_string(k + variant + 2);
     src += "__global__ void kern" + n + "(float* a, float* b, int n) {\n"
            "  int i = blockIdx.x * blockDim.x + threadIdx.x;\n"
            "  if (i < n) {\n"
-           "    float x = a[i] * " + std::to_string(k + 2) + ".0f;\n"
-           "    float y = a[i] * " + std::to_string(k + 2) + ".0f;\n"
+           "    float x = a[i] * " + c + ".0f;\n"
+           "    float y = a[i] * " + c + ".0f;\n"
            "    b[i] = x + y;\n"
            "  }\n"
            "}\n"
@@ -412,26 +413,44 @@ std::string manyKernelSource() {
   return src;
 }
 
+driver::SessionOptions batchOptions(unsigned threads) {
+  driver::SessionOptions so;
+  so.threads = threads;
+  so.useEnvCache = false; // results must not depend on the environment
+  return so;
+}
+
 } // namespace
 
 TEST(ParallelSchedulingTest, ThreadedRunMatchesSerial) {
-  std::string src = manyKernelSource();
+  // Six multi-kernel modules, two of them repeated, against one shared
+  // memory cache: at 4 threads the modules compile on different workers
+  // and the repeats may replay what another worker stored.
   auto compileWith = [&](unsigned threads) {
-    DiagnosticEngine diag;
-    driver::SessionOptions so;
-    so.threads = threads;
-    auto cc = driver::compile(src, PipelineOptions{}, diag, std::move(so));
-    EXPECT_TRUE(cc.ok) << diag.str();
-    return printOp(cc.module.op());
+    driver::SessionOptions so = batchOptions(threads);
+    so.memoryCache = true;
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs;
+    for (int variant : {0, 1, 2, 3, 0, 1})
+      jobs.push_back(&session.addSource("m" + std::to_string(variant),
+                                        manyKernelSource(variant)));
+    EXPECT_TRUE(session.compileAll());
+    std::vector<std::string> out;
+    for (driver::CompileJob *job : jobs) {
+      EXPECT_TRUE(job->ok()) << job->diagnostics().str();
+      out.push_back(printOp(job->result().module.op()));
+    }
+    return out;
   };
-  std::string serial = compileWith(1);
-  std::string threaded = compileWith(4);
-  EXPECT_EQ(serial, threaded);
+  std::vector<std::string> serial = compileWith(1);
+  EXPECT_EQ(serial[0], serial[4]);
+  EXPECT_EQ(serial, compileWith(4));
 }
 
 TEST(ParallelSchedulingTest, ErrorsSurviveParallelRun) {
   // A barrier outside any parallel nest is a cpuify hard error; it must
-  // be reported identically under parallel scheduling.
+  // fail its own module, and be reported identically, in a threaded
+  // batch whose other modules compile.
   const char *bad = R"(module {
   func {sym_name = "f", res_types = []} {
     polygeist.barrier
@@ -445,15 +464,20 @@ TEST(ParallelSchedulingTest, ErrorsSurviveParallelRun) {
   }
 })";
   for (unsigned threads : {1u, 4u}) {
-    OwnedModule m = parseOk(bad);
-    PassManager pm;
-    pm.addPass(createCpuifyPass());
-    pm.setThreadCount(threads);
-    DiagnosticEngine diag;
-    EXPECT_FALSE(pm.run(m.get(), diag)) << "threads=" << threads;
-    EXPECT_NE(diag.str().find("barrier outside thread-parallel loop"),
+    driver::SessionOptions so = batchOptions(threads);
+    so.pipelineSpec = "cpuify";
+    driver::CompilerSession session(std::move(so));
+    auto &good1 = session.addModule("good1", parseOk(kLoopModule));
+    auto &broken = session.addModule("bad", parseOk(bad));
+    auto &good2 = session.addModule("good2", parseOk(kLoopModule));
+    EXPECT_FALSE(session.compileAll()) << "threads=" << threads;
+    EXPECT_TRUE(good1.ok()) << good1.diagnostics().str();
+    EXPECT_TRUE(good2.ok()) << good2.diagnostics().str();
+    EXPECT_FALSE(broken.ok()) << "threads=" << threads;
+    EXPECT_NE(broken.diagnostics().str().find(
+                  "barrier outside thread-parallel loop"),
               std::string::npos)
-        << diag.str();
+        << broken.diagnostics().str();
   }
 }
 
@@ -557,23 +581,27 @@ TEST(PipelineEquivalenceTest, RodiniaSuiteMcuda) {
 }
 
 TEST(PipelineEquivalenceTest, ParallelSchedulingMatchesLegacy) {
+  // The whole suite as one 4-worker session batch with verify-each,
+  // which also covers the final module, against the legacy sequence.
+  driver::SessionOptions so = batchOptions(4);
+  so.verifyEach = true;
+  driver::CompilerSession session(std::move(so));
+  std::vector<driver::CompileJob *> jobs;
+  for (const auto &b : rodinia::suite())
+    jobs.push_back(&session.addSource(b.id, b.cudaSource));
+  session.compileAll();
+
+  size_t i = 0;
   for (const auto &b : rodinia::suite()) {
     DiagnosticEngine d1;
     OwnedModule legacy = frontend::compileToIR(b.cudaSource, d1);
     ASSERT_FALSE(d1.hasErrors()) << b.id << ": " << d1.str();
     bool legacyOk = legacyRunPipeline(legacy.get(), PipelineOptions{}, d1);
 
-    DiagnosticEngine d2;
-    OwnedModule fresh = frontend::compileToIR(b.cudaSource, d2);
-    ASSERT_FALSE(d2.hasErrors()) << b.id << ": " << d2.str();
-    // 4-thread run with verify-each, which also covers the final module.
-    PassManager pm;
-    buildPipeline(pm, PipelineOptions{});
-    pm.setThreadCount(4);
-    pm.enableVerifyEach();
-    bool newOk = pm.run(fresh.get(), d2);
-
-    EXPECT_EQ(legacyOk, newOk) << b.id << ": " << d1.str() << d2.str();
-    EXPECT_EQ(printOp(legacy.op()), printOp(fresh.op())) << b.id;
+    driver::CompileJob &job = *jobs[i++];
+    EXPECT_EQ(legacyOk, job.ok())
+        << b.id << ": " << d1.str() << job.diagnostics().str();
+    EXPECT_EQ(printOp(legacy.op()), printOp(job.result().module.op()))
+        << b.id;
   }
 }

@@ -1,20 +1,17 @@
-// DAG-scheduler stress tests: a 4x-duplicated Rodinia suite with a
+// Module-queue stress tests: a 4x-duplicated Rodinia suite with a
 // deterministic random per-module pipeline mix, compiled under
 // --pm-threads={1,2,8} against one shared cache, repeatedly — asserting
 // bit-for-bit output identity with a 1-thread reference, no deadlocks
 // (a hang fails the ctest timeout), cache sharing across the duplicated
-// modules and repeated runs, and raw TaskScheduler invariants (dynamic
-// spawn, join counters, injection from outside the pool).
+// modules and repeated runs, and jobs resolving before the batch ends.
 #include "driver/compiler.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
-#include "runtime/thread_pool.h"
 #include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <random>
 
 using namespace paralift;
@@ -72,7 +69,7 @@ std::vector<std::string> compileStress(const std::vector<StressJob> &jobs,
 
 TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesSerial) {
   std::vector<StressJob> jobs = stressJobs();
-  // Serial reference: 1-thread DAG, fresh cache.
+  // Serial reference: 1 thread, fresh cache.
   transforms::PassResultCache refCache;
   std::vector<std::string> expected = compileStress(jobs, 1, &refCache);
 
@@ -122,57 +119,4 @@ TEST(SchedulerStressTest, FuturesResolveBeforeCompileAllReturns) {
   }
   // The first completion came before an unfinished batch's end.
   EXPECT_LT(minLatency, maxLatency / 2);
-}
-
-//===----------------------------------------------------------------------===//
-// Raw TaskScheduler invariants
-//===----------------------------------------------------------------------===//
-
-TEST(TaskSchedulerTest, DynamicSpawnChainsAndJoinsDrainCompletely) {
-  runtime::ThreadPool pool(4);
-  runtime::TaskScheduler sched(&pool);
-  std::atomic<int> leaves{0};
-  std::atomic<int> joins{0};
-  // 32 chains of depth 3; each tail fans into 4 leaves joined by a
-  // last-finisher continuation — the DAG shapes scheduleBatch emits.
-  for (int c = 0; c < 32; ++c) {
-    sched.spawn([&, c](unsigned) {
-      sched.spawn([&](unsigned) {
-        sched.spawn([&](unsigned) {
-          auto left = std::make_shared<std::atomic<int>>(4);
-          for (int l = 0; l < 4; ++l)
-            sched.spawn([&, left](unsigned) {
-              leaves.fetch_add(1);
-              if (left->fetch_sub(1) == 1)
-                joins.fetch_add(1);
-            });
-        });
-      });
-    });
-  }
-  sched.run();
-  EXPECT_EQ(leaves.load(), 32 * 4);
-  EXPECT_EQ(joins.load(), 32);
-  // A drained scheduler accepts and drains further work.
-  std::atomic<int> more{0};
-  for (int i = 0; i < 8; ++i)
-    sched.spawn([&](unsigned) { more.fetch_add(1); });
-  sched.run();
-  EXPECT_EQ(more.load(), 8);
-}
-
-TEST(TaskSchedulerTest, SerialFallbackRunsDepthFirst) {
-  // Without a pool the drain is deterministic and depth-first: a chain's
-  // continuation runs before the next root task starts.
-  runtime::TaskScheduler sched(nullptr);
-  std::vector<int> order;
-  for (int c = 0; c < 3; ++c)
-    sched.spawn([&, c](unsigned) {
-      order.push_back(c * 10);
-      sched.spawn([&, c](unsigned) { order.push_back(c * 10 + 1); });
-    });
-  sched.run();
-  ASSERT_EQ(order.size(), 6u);
-  for (int c = 0; c < 3; ++c)
-    EXPECT_EQ(order[2 * c] + 1, order[2 * c + 1]);
 }

@@ -2,7 +2,8 @@
 // and one shared cache are result-identical to serial one-shot compiles
 // (in every pipeline mode), job-level failure isolation (one bad module
 // doesn't poison the session), double-compileAll idempotence,
-// incremental job resolution, the "inline-kernels" frontend view
+// incremental job resolution, multi-function modules compiled whole on
+// one worker, the "inline-kernels" frontend view
 // matching compileForSimt, instrumented batches observing one module at
 // a time, per-module diagnostic attribution, and shared-cache replay
 // across sessions and between identical modules of one batch.
@@ -11,16 +12,20 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
+#include "support/failpoint.h"
+#include "support/metrics.h"
 #include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <thread>
 #include <unistd.h>
 
 using namespace paralift;
@@ -81,9 +86,9 @@ ir::OwnedModule parseOk(const std::string &text) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionBatchTest, RodiniaBatchMatchesSerialAllModes) {
-  // The golden contract: the DAG batch at pm-threads=4 is bit-for-bit
+  // The golden contract: the batch at pm-threads=4 is bit-for-bit
   // identical to serial one-shot compiles, in every pipeline mode — so
-  // the DAG reordering is unobservable in outputs.
+  // the order in which workers take modules is unobservable in outputs.
   struct Mode {
     const char *name;
     PipelineOptions opts;
@@ -230,6 +235,92 @@ TEST(SessionBatchTest, IdenticalSourcesInOneBatch) {
   }
 }
 
+namespace {
+
+/// One source of 8 host functions, each launching its own kernel: the
+/// shape of the multi-file observability batch in CI.
+std::string eightFunctionSource(int file) {
+  std::string f = std::to_string(file), src;
+  for (int j = 1; j <= 8; ++j) {
+    std::string n = std::to_string(j), k = "obs" + f + "_" + n;
+    src += "__global__ void " + k +
+           "(float* a, int n){ int i = blockIdx.x; if (i < n) { for (int t "
+           "= 0; t < 32; ++t) { a[i] = a[i] * " + n + ".0f + " + f +
+           ".0f; } } }\n"
+           "void run" + f + "_" + n + "(float* a, int n){ " + k +
+           "<<<n,1>>>(a, n); }\n";
+  }
+  return src;
+}
+
+} // namespace
+
+TEST(SessionBatchTest, MultiFunctionModulesMatchSerial) {
+  // 3 modules x 8 host functions, a shape where one module holds many
+  // functions. Each module compiles whole on one worker: the IR is byte-identical at 1 and 4 threads, every
+  // job is exactly one module dispatch, and a job cancelled while the
+  // batch runs fails alone.
+  const std::string pipeline = "inline-kernels,repeat{n=2}(canonicalize,"
+                               "cse),unroll{max-trip=16},cpuify,omp-lower";
+  auto &reg = metrics::MetricsRegistry::instance();
+  auto addSources = [](driver::CompilerSession &session) {
+    std::vector<driver::CompileJob *> jobs;
+    for (int f = 1; f <= 3; ++f)
+      jobs.push_back(&session.addSource("obs" + std::to_string(f) + ".cu",
+                                        eightFunctionSource(f)));
+    return jobs;
+  };
+  std::vector<std::string> serial;
+  for (unsigned threads : {1u, 4u}) {
+    transforms::PassResultCache cache;
+    driver::SessionOptions so = batchOptions(threads, &cache);
+    so.pipelineSpec = pipeline;
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs = addSources(session);
+    uint64_t tasksBefore = reg.counterValue("scheduler.tasks");
+    ASSERT_TRUE(session.compileAll()) << "threads=" << threads;
+    EXPECT_EQ(reg.counterValue("scheduler.tasks") - tasksBefore,
+              jobs.size())
+        << "threads=" << threads;
+    std::vector<std::string> out;
+    for (driver::CompileJob *job : jobs)
+      out.push_back(ir::printOp(job->result().module.op()));
+    if (threads == 1)
+      serial = out;
+    else
+      EXPECT_EQ(out, serial);
+  }
+
+  for (unsigned threads : {1u, 4u}) {
+    // Every function-pass run sleeps 5 ms, so each module spends over
+    // 100 ms in its passes; the middle job is cancelled once the first
+    // pass has started. No cache: every pass runs.
+    std::string err;
+    ASSERT_TRUE(failpoint::configure("pass.run=delay(5)", &err)) << err;
+    driver::SessionOptions so = batchOptions(threads, nullptr);
+    so.pipelineSpec = pipeline;
+    driver::CompilerSession session(std::move(so));
+    std::vector<driver::CompileJob *> jobs = addSources(session);
+    uint64_t runsBefore = reg.counterValue("failpoint.triggered.pass.run");
+    std::thread batch([&] { session.compileAll(); });
+    for (int spin = 0; spin < 100000 && reg.counterValue(
+                           "failpoint.triggered.pass.run") == runsBefore;
+         ++spin)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    jobs[1]->cancel();
+    batch.join();
+    failpoint::clearAll();
+    EXPECT_FALSE(jobs[1]->ok()) << "threads=" << threads;
+    std::string diag = jobs[1]->diagnostics().str();
+    EXPECT_NE(diag.find("cancelled in pass"), std::string::npos) << diag;
+    for (size_t i : {0u, 2u}) {
+      ASSERT_TRUE(jobs[i]->ok()) << jobs[i]->diagnostics().str();
+      EXPECT_EQ(ir::printOp(jobs[i]->result().module.op()), serial[i])
+          << "threads=" << threads;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Failure isolation
 //===----------------------------------------------------------------------===//
@@ -324,10 +415,9 @@ TEST(SessionTest, AsyncCompileAllAndFutures) {
 }
 
 TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
-  // Completion-order probe: under the DAG scheduler a job is marked done
-  // (its latency stamped) the moment its own chain completes. With
-  // threads=1 the serial drain runs depth-first, one module after
-  // another, so over the 16-module suite the first job resolves well
+  // Completion-order probe: a job is marked done (its latency stamped)
+  // the moment its own pipeline completes. With threads=1 the queue
+  // drains one module after another, so over the 16-module suite the first job resolves well
   // before the last: its latency must be under half the batch's largest.
   // A session that marked jobs done only at the end of the batch would
   // stamp them all within microseconds of each other.

@@ -8,7 +8,6 @@
 
 #include "driver/session.h"
 #include "rodinia/rodinia.h"
-#include "runtime/thread_pool.h"
 #include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
@@ -355,21 +354,21 @@ TEST_F(TraceTest, SpanEnabledAtOpenDroppedWhenDisabledAtClose) {
   EXPECT_EQ(trace::eventCount(), before);
 }
 
-TEST_F(TraceTest, EightThreadSchedulerRunIsConsistent) {
-  runtime::ThreadPool pool(8);
-  runtime::TaskScheduler sched(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i)
-    sched.spawn([&](unsigned) {
-      trace::TraceSpan s("unit", "test");
-      ran.fetch_add(1);
-    });
-  sched.run();
-  EXPECT_EQ(ran.load(), 64);
+TEST_F(TraceTest, EightThreadSessionBatchIsConsistent) {
+  // The Rodinia suite as one 8-worker session batch: every worker lane
+  // records its own spans while the others do.
+  driver::SessionOptions so;
+  so.threads = 8;
+  so.memoryCache = true;
+  so.useEnvCache = false;
+  driver::CompilerSession session(std::move(so));
+  for (const auto &b : rodinia::suite())
+    session.addSource(b.id, b.cudaSource, transforms::PipelineOptions{});
+  ASSERT_TRUE(session.compileAll());
 
   JsonValue root = parseTraceJson();
   auto byTid = completeEventsByTid(root, sinceTs_);
-  size_t units = 0;
+  size_t finalized = 0, passSpans = 0;
   for (auto &[tid, iv] : byTid) {
     expectProperNesting(iv);
     // ts must be sane: no span may extend past "now".
@@ -377,18 +376,27 @@ TEST_F(TraceTest, EightThreadSchedulerRunIsConsistent) {
     for (const Interval &i : iv) {
       EXPECT_GE(i.ts, sinceTs_);
       EXPECT_LE(i.ts + i.dur, now + 1);
-      if (i.name == "unit")
-        ++units;
+      if (i.name.rfind("finalize:", 0) == 0)
+        ++finalized;
+      if (i.name.rfind("pass:", 0) == 0)
+        ++passSpans;
     }
   }
-  EXPECT_EQ(units, 64u);
-  // The scheduler's own task spans appear on the worker lanes.
-  bool sawTask = false;
-  for (auto &[tid, iv] : byTid)
-    for (const Interval &i : iv)
-      if (i.name == "task")
-        sawTask = true;
-  EXPECT_TRUE(sawTask);
+  // One finalize span per module, and per-pass spans on the lanes.
+  EXPECT_EQ(finalized, rodinia::suite().size());
+  EXPECT_GT(passSpans, 0u);
+  // The worker lanes are named.
+  bool sawWorkerLane = false;
+  if (const JsonValue *events = root.find("traceEvents"))
+    for (const JsonValue &e : events->arr) {
+      const JsonValue *ph = e.find("ph");
+      const JsonValue *args = e.find("args");
+      const JsonValue *name = args ? args->find("name") : nullptr;
+      if (ph && ph->str == "M" && name &&
+          name->str.rfind("worker-", 0) == 0)
+        sawWorkerLane = true;
+    }
+  EXPECT_TRUE(sawWorkerLane);
 }
 
 // --- metrics ------------------------------------------------------------
