@@ -8,7 +8,6 @@
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "rodinia/rodinia.h"
-#include "transforms/pass_cache.h"
 #include "transforms/pass_manager.h"
 
 #include <algorithm>
@@ -149,39 +148,28 @@ inline SuiteModules parseSuiteModules() {
   return out;
 }
 
-/// SessionOptions preconfigured for suite compiles: no env cache (bench
-/// numbers must not depend on the caller's environment), the given
-/// shared cache and worker-pool size. Every bench session derives from
-/// this so the no-env-cache invariant lives in one place.
-inline driver::SessionOptions
-suiteSessionOptions(unsigned threads = 1,
-                    transforms::PassResultCache *cache = nullptr,
-                    bool collectTiming = false) {
+/// SessionOptions preconfigured for suite compiles: the worker-pool size
+/// and whether to collect per-pass timing.
+inline driver::SessionOptions suiteSessionOptions(unsigned threads = 1,
+                                                  bool collectTiming = false) {
   driver::SessionOptions so;
   so.threads = threads;
-  so.cache = cache;
-  so.useEnvCache = false;
   so.collectTiming = collectTiming;
   return so;
 }
 
-inline driver::CompilerSession
-makeSuiteSession(unsigned threads = 1,
-                 transforms::PassResultCache *cache = nullptr,
-                 bool collectTiming = false) {
-  return driver::CompilerSession(
-      suiteSessionOptions(threads, cache, collectTiming));
+inline driver::CompilerSession makeSuiteSession(unsigned threads = 1,
+                                                bool collectTiming = false) {
+  return driver::CompilerSession(suiteSessionOptions(threads, collectTiming));
 }
 
 /// Runs the optimization pipeline over clones of the pre-parsed suite
-/// through one single-worker batch session, without a pass cache, with
-/// per-pass timing enabled.
+/// through one single-worker batch session, with per-pass timing enabled.
 inline PassTimeAggregator
 timeSuiteCompiles(const transforms::PipelineOptions &opts,
                   const SuiteModules &suite) {
   driver::CompilerSession session =
-      makeSuiteSession(/*threads=*/1, /*cache=*/nullptr,
-                       /*collectTiming=*/true);
+      makeSuiteSession(/*threads=*/1, /*collectTiming=*/true);
   size_t idx = 0;
   for (const auto &b : rodinia::suite()) {
     size_t i = idx++;
@@ -210,11 +198,10 @@ struct SuiteSession {
 
 inline SuiteSession
 compileSuiteSession(const transforms::PipelineOptions &opts,
-                    unsigned threads = 1,
-                    transforms::PassResultCache *cache = nullptr) {
+                    unsigned threads = 1) {
   SuiteSession out;
-  out.session = std::make_unique<driver::CompilerSession>(
-      suiteSessionOptions(threads, cache));
+  out.session =
+      std::make_unique<driver::CompilerSession>(suiteSessionOptions(threads));
   for (const auto &b : rodinia::suite())
     out.jobs.push_back(&out.session->addSource(b.id, b.cudaSource, opts));
   out.session->compileAll();

@@ -2,9 +2,9 @@
 // the Rodinia suite (not a paper figure; quantifies the compiler itself).
 //
 // --json=FILE additionally emits a machine-readable BENCH_compile.json
-// (suite-session latency per thread count, mean/median/p95
-// job-completion latency, arena parse/clone/teardown cost,
-// cache stats, tracing-disabled vs -enabled overhead, failpoint
+// (suite-session latency per thread count with its paired ratio to the
+// serial one-shot arm, mean/median/p95 job-completion latency, arena
+// parse/clone/teardown cost, tracing-disabled vs -enabled overhead, failpoint
 // disarmed vs armed-inert overhead, and a MetricsRegistry snapshot) so
 // the perf trajectory is tracked across PRs.
 #include "bench_common.h"
@@ -68,30 +68,31 @@ double p95Of(const std::vector<double> &sorted) {
   return sorted[std::min(sorted.size(), std::max<size_t>(rank, 1)) - 1];
 }
 
-SchedulerMeasurement measureSuiteSession(unsigned threads, int reps = 7) {
-  std::vector<SchedulerMeasurement> ms;
-  for (int r = 0; r < reps; ++r) {
-    driver::CompilerSession session = makeSuiteSession(threads);
-    std::vector<driver::CompileJob *> jobs;
-    for (const auto &b : rodinia::suite())
-      jobs.push_back(&session.addSource(b.id, b.cudaSource,
-                                        transforms::PipelineOptions{}));
-    double t0 = now();
-    session.compileAll();
-    SchedulerMeasurement m;
-    m.wallSeconds = now() - t0;
-    std::vector<double> lats;
-    for (driver::CompileJob *job : jobs)
-      lats.push_back(job->latencySeconds());
-    std::sort(lats.begin(), lats.end());
-    for (double l : lats)
-      m.meanJobSeconds += l;
-    m.meanJobSeconds /= lats.empty() ? 1 : lats.size();
-    m.medianJobSeconds = lats.empty() ? 0 : lats[lats.size() / 2];
-    m.p95JobSeconds = p95Of(lats);
-    ms.push_back(m);
-  }
-  // Median rep by wall clock.
+/// One suite batch through one session of `threads` workers.
+SchedulerMeasurement measureSuiteSessionOnce(unsigned threads) {
+  driver::CompilerSession session = makeSuiteSession(threads);
+  std::vector<driver::CompileJob *> jobs;
+  for (const auto &b : rodinia::suite())
+    jobs.push_back(&session.addSource(b.id, b.cudaSource,
+                                      transforms::PipelineOptions{}));
+  double t0 = now();
+  session.compileAll();
+  SchedulerMeasurement m;
+  m.wallSeconds = now() - t0;
+  std::vector<double> lats;
+  for (driver::CompileJob *job : jobs)
+    lats.push_back(job->latencySeconds());
+  std::sort(lats.begin(), lats.end());
+  for (double l : lats)
+    m.meanJobSeconds += l;
+  m.meanJobSeconds /= lats.empty() ? 1 : lats.size();
+  m.medianJobSeconds = lats.empty() ? 0 : lats[lats.size() / 2];
+  m.p95JobSeconds = p95Of(lats);
+  return m;
+}
+
+/// The median rep by wall clock.
+SchedulerMeasurement medianByWall(std::vector<SchedulerMeasurement> ms) {
   std::sort(ms.begin(), ms.end(),
             [](const SchedulerMeasurement &a, const SchedulerMeasurement &b) {
               return a.wallSeconds < b.wallSeconds;
@@ -99,9 +100,36 @@ SchedulerMeasurement measureSuiteSession(unsigned threads, int reps = 7) {
   return ms[ms.size() / 2];
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+SchedulerMeasurement measureSuiteSession(unsigned threads, int reps = 7) {
+  std::vector<SchedulerMeasurement> ms;
+  for (int r = 0; r < reps; ++r)
+    ms.push_back(measureSuiteSessionOnce(threads));
+  return medianByWall(std::move(ms));
+}
+
+/// The suite compiled one module at a time, each through its own
+/// one-shot session: the serial baseline.
+double timeSerialOneShot() {
+  double t0 = now();
+  for (const auto &b : rodinia::suite()) {
+    driver::CompilerSession session = makeSuiteSession();
+    session.addSource(b.id, b.cudaSource, transforms::PipelineOptions{});
+    session.compileAll();
+  }
+  return now() - t0;
+}
+
 struct SchedulerRow {
   unsigned threads;
-  SchedulerMeasurement dag;
+  SchedulerMeasurement batch; ///< the median rep by wall clock
+  /// Median over reps of this rep's batch wall / the same rep's serial
+  /// wall.
+  double ratioToSerial = 0;
 };
 
 struct SuiteSessionTable {
@@ -113,39 +141,57 @@ struct SuiteSessionTable {
 /// CompilerSession, whose workers compile whole modules from one queue
 /// (each CompileJob resolves the moment its module's last pass lands).
 /// The table reports batch wall clock AND job-completion latency per
-/// thread count, anchored by a serial one-shot baseline.
+/// thread count, each against a serial one-shot baseline timed in the
+/// same reps.
 SuiteSessionTable printSuiteSessionMode() {
   std::printf("\n=== Suite-session batch compile, module queue (whole "
               "suite, seconds) ===\n");
   std::printf("(hardware: %u cores; wall-clock wins need >1 — job-latency "
               "wins appear even on 1)\n\n",
               std::thread::hardware_concurrency());
-  // The serial baseline goes through one-shot sessions rather than
-  // driver::compile so every mode ignores $PARALIFT_CACHE_DIR — the
-  // comparison must measure scheduling, not an env cache warming one
-  // side.
+  // Paired reps: every rep times the serial arm and each thread count
+  // back to back, alternating the order from rep to rep as
+  // measureTracingOverhead does, so host drift lands on every arm alike.
+  // Each row's ratio is the median of its per-rep ratios to serial.
+  constexpr int kReps = 7;
+  const std::vector<unsigned> threadCounts{1, 2, 4};
+  const size_t n = threadCounts.size();
+  std::vector<double> serial;
+  std::vector<std::vector<SchedulerMeasurement>> batches(n);
+  std::vector<std::vector<double>> ratios(n);
+  for (int r = 0; r < kReps; ++r) {
+    std::vector<SchedulerMeasurement> rep(n);
+    double s = 0;
+    if (r % 2 == 0) {
+      s = timeSerialOneShot();
+      for (size_t k = 0; k < n; ++k)
+        rep[k] = measureSuiteSessionOnce(threadCounts[k]);
+    } else {
+      for (size_t k = n; k-- > 0;)
+        rep[k] = measureSuiteSessionOnce(threadCounts[k]);
+      s = timeSerialOneShot();
+    }
+    serial.push_back(s);
+    for (size_t k = 0; k < n; ++k) {
+      batches[k].push_back(rep[k]);
+      ratios[k].push_back(rep[k].wallSeconds / s);
+    }
+  }
   SuiteSessionTable table;
-  table.serialSeconds = medianTime(
-      [&] {
-        for (const auto &b : rodinia::suite()) {
-          driver::CompilerSession session = makeSuiteSession();
-          session.addSource(b.id, b.cudaSource,
-                            transforms::PipelineOptions{});
-          session.compileAll();
-        }
-      },
-      3);
+  table.serialSeconds = median(serial);
   std::printf("  serial per-module (one-shot sessions)  %10.4f s\n\n",
               table.serialSeconds);
-  std::printf("  %-12s%12s%14s%14s%14s\n", "pm-threads", "wall",
-              "mean-job", "median-job", "p95-job");
-  for (unsigned threads : {1u, 2u, 4u}) {
+  std::printf("  %-12s%12s%10s%14s%14s%14s\n", "pm-threads", "wall",
+              "/serial", "mean-job", "median-job", "p95-job");
+  for (size_t k = 0; k < n; ++k) {
     SchedulerRow row;
-    row.threads = threads;
-    row.dag = measureSuiteSession(threads);
-    std::printf("  %-10u%10.4f s%12.4f s%12.4f s%12.4f s\n", threads,
-                row.dag.wallSeconds, row.dag.meanJobSeconds,
-                row.dag.medianJobSeconds, row.dag.p95JobSeconds);
+    row.threads = threadCounts[k];
+    row.batch = medianByWall(batches[k]);
+    row.ratioToSerial = median(ratios[k]);
+    std::printf("  %-10u%10.4f s%9.2fx%12.4f s%12.4f s%12.4f s\n",
+                row.threads, row.batch.wallSeconds, row.ratioToSerial,
+                row.batch.meanJobSeconds, row.batch.medianJobSeconds,
+                row.batch.p95JobSeconds);
     table.rows.push_back(row);
   }
   return table;
@@ -317,22 +363,9 @@ void printFailpointOverhead(const FailpointOverhead &t) {
               t.armedWall, t.overheadPct);
 }
 
-/// Cold-populate cache behavior of one suite batch (hits are replays
-/// of entries an earlier step of the batch stored: a kernel or pipeline
-/// prefix shared across modules, reached after its first compile).
-transforms::PassResultCache::StatsSnapshot measureCacheStats() {
-  transforms::PassResultCache cache;
-  driver::CompilerSession session = makeSuiteSession(4, &cache);
-  for (const auto &b : rodinia::suite())
-    session.addSource(b.id, b.cudaSource, transforms::PipelineOptions{});
-  session.compileAll();
-  return cache.stats();
-}
-
 void writeJson(const std::string &path, const SuiteSessionTable &table,
-               const IrMemoryTimes &im,
-               const transforms::PassResultCache::StatsSnapshot &cs,
-               const TracingOverhead &to, const FailpointOverhead &fo) {
+               const IrMemoryTimes &im, const TracingOverhead &to,
+               const FailpointOverhead &fo) {
   std::FILE *f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "bench_compile: cannot write '%s'\n", path.c_str());
@@ -349,12 +382,12 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
   const std::vector<SchedulerRow> &rows = table.rows;
   for (size_t i = 0; i < rows.size(); ++i) {
     const SchedulerRow &r = rows[i];
-    const SchedulerMeasurement &m = r.dag;
+    const SchedulerMeasurement &m = r.batch;
     std::fprintf(f,
-                 "    {\"pm_threads\": %u, \"dag\": {\"wall_s\": %.6f, "
-                 "\"mean_job_s\": %.6f, \"median_job_s\": %.6f, "
-                 "\"p95_job_s\": %.6f}}%s\n",
-                 r.threads, m.wallSeconds, m.meanJobSeconds,
+                 "    {\"pm_threads\": %u, \"wall_s\": %.6f, "
+                 "\"ratio_to_serial\": %.3f, \"mean_job_s\": %.6f, "
+                 "\"median_job_s\": %.6f, \"p95_job_s\": %.6f}%s\n",
+                 r.threads, m.wallSeconds, r.ratioToSerial, m.meanJobSeconds,
                  m.medianJobSeconds, m.p95JobSeconds,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -365,15 +398,6 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
                im.parseSeconds, im.cloneSeconds, im.teardownSeconds,
                im.modules, im.rounds);
   std::fprintf(f,
-               "  \"cache_cold_populate\": {\"hits\": %llu, \"misses\": "
-               "%llu, \"stores\": %llu, \"passes_executed\": %llu, "
-               "\"passes_replayed\": %llu},\n",
-               static_cast<unsigned long long>(cs.hits),
-               static_cast<unsigned long long>(cs.misses),
-               static_cast<unsigned long long>(cs.stores),
-               static_cast<unsigned long long>(cs.passesExecuted),
-               static_cast<unsigned long long>(cs.passesReplayed));
-  std::fprintf(f,
                "  \"tracing\": {\"disabled_wall_s\": %.6f, "
                "\"enabled_wall_s\": %.6f, \"enabled_overhead_pct\": %.2f},\n",
                to.disabledWall, to.enabledWall, to.overheadPct);
@@ -383,14 +407,12 @@ void writeJson(const std::string &path, const SuiteSessionTable &table,
                "\"armed_overhead_pct\": %.2f},\n",
                fo.disarmedWall, fo.armedWall, fo.overheadPct);
   // Process-wide registry snapshot over everything this run compiled:
-  // the trajectory of scheduler/cache/arena activity across PRs.
+  // the trajectory of scheduler/arena activity across PRs.
   const auto &reg = metrics::MetricsRegistry::instance();
   std::fprintf(f,
-               "  \"metrics\": {\"cache_hits\": %llu, "
-               "\"scheduler_tasks\": %llu, "
+               "  \"metrics\": {\"scheduler_tasks\": %llu, "
                "\"session_jobs_completed\": %llu, "
                "\"arena_peak_bytes\": %lld}\n",
-               static_cast<unsigned long long>(reg.counterValue("cache.hits")),
                static_cast<unsigned long long>(
                    reg.counterValue("scheduler.tasks")),
                static_cast<unsigned long long>(
@@ -416,7 +438,6 @@ int main(int argc, char **argv) {
   FailpointOverhead failpoints = measureFailpointOverhead();
   printFailpointOverhead(failpoints);
   if (!jsonPath.empty())
-    writeJson(jsonPath, sessionTable, irMem, measureCacheStats(), tracing,
-              failpoints);
+    writeJson(jsonPath, sessionTable, irMem, tracing, failpoints);
   return 0;
 }

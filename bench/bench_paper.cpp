@@ -22,8 +22,8 @@
 // front, in one CompilerSession batch; the figures then time only the
 // precompiled modules. Thread sweeps stop at the host's hardware thread
 // count: a wider team measures oversubscription, not scaling. Takes no
-// arguments; exits non-zero if a compile fails or a Fig. 12 product is
-// wrong.
+// arguments (any argument prints a usage line and exits 2); exits 1 if a
+// compile fails or a Fig. 12 product is wrong.
 #include "bench_common.h"
 
 #include "moccuda/resnet.h"
@@ -508,7 +508,7 @@ void printFig15() {
 int main(int argc, char **argv) {
   if (argc > 1) {
     std::fprintf(stderr, "usage: %s\n", argv[0]);
-    return 1;
+    return 2;
   }
   driver::CompilerSession session = makeSuiteSession(/*threads=*/2);
   PaperModules modules = compilePaperModules(session);

@@ -111,8 +111,8 @@ void timeConfigs(const rodinia::Benchmark &b, vm::Interp *interps[kConfigs],
 int main(int argc, char **argv) {
   std::string jsonPath = parseJsonPathArg(argc, argv);
 
-  // Compile the whole suite once (full pipeline, shared batch session,
-  // no env cache) and lower each module to bytecode.
+  // Compile the whole suite once (full pipeline, one batch session) and
+  // lower each module to bytecode.
   SuiteSession suite = compileSuiteSession(transforms::PipelineOptions{});
   std::vector<std::optional<vm::BCModule>> bytecodes;
   for (driver::CompileJob *job : suite.jobs)

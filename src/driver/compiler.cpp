@@ -16,7 +16,6 @@ CompileResult compileForSimt(const std::string &source,
                              DiagnosticEngine &diag) {
   SessionOptions so;
   so.pipelineSpec = "inline-kernels";
-  so.useEnvCache = false;
   return compile(source, transforms::PipelineOptions{}, diag, std::move(so));
 }
 

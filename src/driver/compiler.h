@@ -2,9 +2,9 @@
 // -> executable bytecode.
 //
 // The primary interface is driver::CompilerSession (driver/session.h): a
-// long-lived object owning the shared thread pool, pass-result cache,
-// and run configuration, compiling any number of modules — batched, so
-// every queued module's function passes schedule across one pool. Suites,
+// long-lived object owning the shared thread pool and run
+// configuration, compiling any number of modules — batched, so the
+// pool's workers compile queued modules in parallel. Suites,
 // benchmarks, and embedders compiling more than one module should hold a
 // session:
 //
@@ -25,7 +25,7 @@
 //   auto cc = driver::compile(source, PipelineOptions{}, diag);
 //
 // Use them for one module; to compile several, queue them on one session
-// instead so they share its pool and cache.
+// instead so they share its pool.
 #pragma once
 
 #include "driver/session.h"
@@ -40,19 +40,17 @@ namespace paralift::driver {
 
 /// One-shot compile: full pipeline (frontend -> optimization/cpuify/
 /// omp-lowering) through a temporary session configured by `so` (threads,
-/// verification, cache; see SessionOptions). With the default options
-/// and PARALIFT_CACHE_DIR set in the environment, the process-wide
-/// persistent cache rooted there is used (see envPassResultCache);
-/// set so.useEnvCache = false for an uncached compile.
+/// verification; see SessionOptions). Every call runs every pass on the
+/// freshly parsed module.
 CompileResult compile(const std::string &source,
                       const transforms::PipelineOptions &opts,
                       DiagnosticEngine &diag, SessionOptions so = {});
 
 /// One-shot frontend view for the lockstep SIMT reference executor: a
 /// session running the one-pass "inline-kernels" pipeline (device
-/// functions inlined into kernels), never cached, so the oracle cannot
-/// replay the results it checks. Barriers are preserved; kernels execute
-/// on the lockstep SIMT emulator giving ground-truth CUDA semantics.
+/// functions inlined into kernels). Barriers are preserved; kernels
+/// execute on the lockstep SIMT emulator giving ground-truth CUDA
+/// semantics.
 CompileResult compileForSimt(const std::string &source,
                              DiagnosticEngine &diag);
 

@@ -6,7 +6,6 @@
 //   paralift-opt [file...] [--cuda] [--passes=PIPELINE] [--list-passes]
 //                [--timing] [--stats] [--verify-each] [--verify-bytecode]
 //                [--pm-threads=N]
-//                [--cache-dir=DIR] [--no-pass-cache] [--cache-stats]
 //                [--trace-json=FILE] [--metrics[=FILE]]
 //                [--print-ir-before[=PASS]] [--print-ir-after[=PASS]]
 //                [--job-timeout=SECONDS] [--failpoints=SPEC]
@@ -16,7 +15,7 @@
 // diagnostic while the rest of the batch completes (exit stays nonzero).
 // --failpoints=SPEC arms the deterministic fault-injection subsystem
 // (support/failpoint.h; same grammar as $PARALIFT_FAILPOINTS), e.g.
-// --failpoints='cache.disk.write=error;pass.run=throw:7,0.1'. Any
+// --failpoints='pass.run=throw:7,0.1;scheduler.task=delay(5)'. Any
 // failure a fault provokes is contained to the affected module.
 // Infrastructure exceptions escaping the session entirely print a
 // "paralift-opt: fatal:" line and exit 3 instead of aborting.
@@ -26,10 +25,8 @@
 // child list. With no file, reads stdin. With no --passes, just
 // parse/verify/print (round-trip mode). Multiple positional files compile
 // as one batch session: --pm-threads=N compiles up to N files at once,
-// each file start to finish on one worker, and all files share one
-// pass-result cache — a kernel replays instead of re-running once an
-// identical copy in an earlier file has finished the pass (copies
-// running at the same moment each run it).
+// each file start to finish on one worker. Every file runs every pass;
+// nothing is kept between runs.
 // Examples:
 //   paralift-opt kernel.ir --passes=canonicalize,cse,barrier-elim
 //   paralift-opt kernel.cu --cuda --passes='cpuify{mincut=false},omp-lower'
@@ -40,13 +37,6 @@
 // output is ready the moment its own last pass lands. Outputs are
 // identical at every --pm-threads value.
 //
-// Pass results are cached persistently under --cache-dir (or
-// $PARALIFT_CACHE_DIR when set): re-running an unchanged file through an
-// unchanged pipeline replays cached IR instead of executing passes. The
-// store is never evicted; delete the directory to reclaim it.
-// --no-pass-cache forces caching off; --cache-stats prints the
-// hit/miss/replay counters to stderr.
-//
 // --verify-bytecode additionally lowers every successful module to VM
 // bytecode and runs the static verifier (vm/verifier.h) over it: any
 // structural or typestate violation is reported to stderr with
@@ -56,11 +46,11 @@
 // --cuda with cpuify,omp-lower or the default SIMT lowering).
 //
 // Observability: --trace-json=FILE records a Chrome trace_event JSON of
-// the whole run (worker lanes, per-pass spans with cache-hit
-// annotations, per-job async spans; load in Perfetto). --metrics prints
-// the process-wide metrics snapshot (cache/scheduler/session/arena
-// counters and latency histograms) to stderr; --metrics=FILE writes it
-// as JSON instead. See the "Observability" section in driver/session.h.
+// the whole run (worker lanes, per-pass spans, per-job async spans;
+// load in Perfetto). --metrics prints the process-wide metrics snapshot
+// (scheduler/session/arena/pass counters and latency histograms) to
+// stderr; --metrics=FILE writes it as JSON instead. See the
+// "Observability" section in driver/session.h.
 #include "driver/compiler.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -97,7 +87,6 @@ int usage(const char *argv0) {
       "usage: %s [file...] [--cuda] [--passes=PIPELINE] [--list-passes]\n"
       "       [--timing] [--stats] [--verify-each] [--verify-bytecode]\n"
       "       [--pm-threads=N]\n"
-      "       [--cache-dir=DIR] [--no-pass-cache] [--cache-stats]\n"
       "       [--trace-json=FILE] [--metrics[=FILE]]\n"
       "       [--print-ir-before[=PASS]] [--print-ir-after[=PASS]]\n"
       "       [--job-timeout=SECONDS] [--failpoints=SPEC]\n"
@@ -105,8 +94,8 @@ int usage(const char *argv0) {
       "PIPELINE example: 'inline,repeat{n=2}(canonicalize,cse),\n"
       "                   unroll{max-trip=16},cpuify{mincut=false}'\n"
       "\n"
-      "Multiple files compile as one batch session sharing the\n"
-      "pass-result cache; --pm-threads=N compiles up to N files at once.\n",
+      "Multiple files compile as one batch session; --pm-threads=N\n"
+      "compiles up to N files at once.\n",
       argv0);
   return 0;
 }
@@ -200,12 +189,9 @@ int optMain(int argc, char **argv) {
   bool stats = false;
   bool verifyEach = false;
   bool verifyBytecode = false;
-  bool noPassCache = false;
-  bool cacheStats = false;
   std::string traceJsonPath;
   bool metricsToStderr = false;
   std::string metricsJsonPath;
-  std::string cacheDir;
   bool printBefore = false, printAfter = false;
   std::string printBeforeFilter, printAfterFilter;
   unsigned pmThreads = 1;
@@ -226,10 +212,6 @@ int optMain(int argc, char **argv) {
       verifyEach = true;
     } else if (arg == "--verify-bytecode") {
       verifyBytecode = true;
-    } else if (arg == "--no-pass-cache") {
-      noPassCache = true;
-    } else if (arg == "--cache-stats") {
-      cacheStats = true;
     } else if (arg.rfind("--trace-json=", 0) == 0) {
       traceJsonPath = arg.substr(13);
       if (traceJsonPath.empty()) {
@@ -242,12 +224,6 @@ int optMain(int argc, char **argv) {
       metricsJsonPath = arg.substr(10);
       if (metricsJsonPath.empty()) {
         std::fprintf(stderr, "error: --metrics= requires a path\n");
-        return 2;
-      }
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      cacheDir = arg.substr(12);
-      if (cacheDir.empty()) {
-        std::fprintf(stderr, "error: --cache-dir requires a path\n");
         return 2;
       }
     } else if (arg == "--print-ir-before") {
@@ -319,12 +295,6 @@ int optMain(int argc, char **argv) {
   so.pipelineSpec = cuda ? (passes.empty() ? std::string("inline-kernels")
                                            : "inline-kernels," + passes)
                          : passes;
-  // --cache-dir (or the session's $PARALIFT_CACHE_DIR fallback) enables
-  // the persistent pass-result cache; --no-pass-cache wins over both.
-  if (noPassCache)
-    so.useEnvCache = false;
-  else
-    so.cacheDir = cacheDir;
   // IR printing observes one module at a time; setting the hook makes
   // the session compile the files one after another.
   if (printBefore || printAfter)
@@ -375,12 +345,6 @@ int optMain(int argc, char **argv) {
     std::fprintf(stderr, "%s", session.timingReport().str().c_str());
   if (stats)
     std::fprintf(stderr, "%s", session.statisticsStr().c_str());
-  if (cacheStats) {
-    if (session.cache())
-      std::fprintf(stderr, "%s\n", session.cache()->statsStr().c_str());
-    else
-      std::fprintf(stderr, "pass-cache: disabled\n");
-  }
 
   int rc = 0;
   if (verifyBytecode) {

@@ -5,14 +5,12 @@
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
-#include "transforms/pass_cache.h"
 #include "transforms/registry.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 
 namespace paralift::driver {
 
@@ -33,26 +31,6 @@ SessionMetrics &sessionMetrics() {
   return *m;
 }
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Environment-driven process-wide cache
-//===----------------------------------------------------------------------===//
-
-transforms::PassResultCache *envPassResultCache() {
-  static transforms::PassResultCache *cache = [] {
-    const char *dir = std::getenv("PARALIFT_CACHE_DIR");
-    if (!dir || !*dir)
-      return static_cast<transforms::PassResultCache *>(nullptr);
-    static transforms::PassResultCache instance{std::string(dir)};
-    const char *stats = std::getenv("PARALIFT_CACHE_STATS");
-    if (stats && *stats && std::string(stats) != "0")
-      std::atexit([] {
-        std::fprintf(stderr, "%s\n", instance.statsStr().c_str());
-      });
-    return &instance;
-  }();
-  return cache;
-}
 
 //===----------------------------------------------------------------------===//
 // CompileJob
@@ -97,18 +75,6 @@ CompilerSession::CompilerSession(SessionOptions opts)
     : opts_(std::move(opts)) {
   if (opts_.threads > 1)
     pool_ = std::make_unique<runtime::ThreadPool>(opts_.threads);
-  if (opts_.cache) {
-    cache_ = opts_.cache;
-  } else if (!opts_.cacheDir.empty()) {
-    ownedCache_ =
-        std::make_unique<transforms::PassResultCache>(opts_.cacheDir);
-    cache_ = ownedCache_.get();
-  } else if (opts_.memoryCache) {
-    ownedCache_ = std::make_unique<transforms::PassResultCache>();
-    cache_ = ownedCache_.get();
-  } else if (opts_.useEnvCache) {
-    cache_ = envPassResultCache();
-  }
 }
 
 CompilerSession::~CompilerSession() = default;
@@ -279,7 +245,6 @@ bool CompilerSession::compileAll() {
       // Instrumentation nesting: custom hooks outermost, then
       // verify-each.
       transforms::PassManager &pm = *group.pm;
-      pm.setResultCache(cache_);
       if (opts_.collectStatistics)
         pm.enableStatistics();
       if (opts_.configurePassManager)

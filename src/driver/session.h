@@ -3,13 +3,13 @@
 //
 // A session is a long-lived object owning everything that should be
 // shared across compiles instead of rebuilt per call: the runtime
-// ThreadPool whose team compiles modules in parallel, the
-// PassResultCache, and the run configuration (threads, verification,
-// timing, deadlines). Sources are queued with addSource (each returns
-// a CompileJob handle carrying a per-module DiagnosticEngine stamped with
-// the module's name), then compileAll() compiles every queued module,
-// up to `threads` modules at once. A job's result, diagnostics and
-// latency are read after the compileAll that covered it returns.
+// ThreadPool whose team compiles modules in parallel, and the run
+// configuration (threads, verification, timing, deadlines). Sources are
+// queued with addSource (each returns a CompileJob handle carrying a
+// per-module DiagnosticEngine stamped with the module's name), then
+// compileAll() compiles every queued module, up to `threads` modules at
+// once. A job's result, diagnostics and latency are read after the
+// compileAll that covered it returns.
 //
 //   driver::CompilerSession session({.threads = 4});
 //   auto &a = session.addSource("a.cu", srcA, PipelineOptions{});
@@ -17,8 +17,8 @@
 //   session.compileAll();
 //   driver::Executor exec(a.result().module.get(), 8);
 //
-// One session compiles N modules against one cache concurrently and
-// amortizes worker startup across every compile; the driver::compile and
+// One session compiles N modules concurrently and amortizes worker
+// startup across every compile; the driver::compile and
 // driver::compileForSimt free functions are one-shot wrappers over a
 // temporary session (driver/compiler.h).
 //
@@ -30,24 +30,21 @@
 // the one-pass pipelineSpec "inline-kernels". All groups' modules form
 // one queue, in group then job order, and the pool's team drains it:
 // each worker claims the next module and runs it start to finish —
-// parse, key its functions (ir::hashOp), then every pass in order.
+// parse, then every pass in order. Every module compiles once, cold:
+// no pass result is kept between modules, batches or processes.
 // Parallelism comes from the modules; the functions of one module run
 // one after another on its worker. Each CompileJob is marked done (its
-// latencySeconds() stamped) the moment its own last pass (or terminal
-// cache splice) completes rather than at end of batch. The shared cache
-// is a plain memo: a kernel replays entries that an earlier step stored
-// (a copy in a module that finished first, a shared pipeline prefix),
-// while identical kernels compiled at the same moment each run their
-// passes. Pass execution is deterministic per input, so outputs are
-// bit-for-bit identical to serial compiles at any thread count. Under
-// --timing, each module keeps its own (module, pass) records, appended
-// in group then job order.
+// latencySeconds() stamped) the moment its own last pass completes
+// rather than at end of batch. Pass execution is deterministic per
+// input, so outputs are bit-for-bit identical to serial compiles at any
+// thread count. Under --timing, each module keeps its own (module,
+// pass) records, appended in group then job order.
 //
 // The queue drains on the calling thread, in job order, at threads=1,
 // when compileAll is itself called inside a parallel region, and with
 // per-module instrumentation (configurePassManager), so those hooks
-// observe one module at a time. Such batches share the cache and get the
-// same per-step cancellation, deadline, and arena-cap checks.
+// observe one module at a time. Such batches get the same per-step
+// cancellation, deadline, and arena-cap checks.
 //
 // Memory
 // ------
@@ -66,11 +63,9 @@
 //    IR but return nothing to the allocator; the bytes are reclaimed
 //    when the module is destroyed. Peak RSS of a batch therefore tracks
 //    the *created*, not the surviving, op count.
-//  - Cross-module splices never share arenas. Cache replays and clones
-//    parse/clone directly into the destination module's arena
-//    (ir::parseModuleInto, ir::cloneOpInto), so a worker replays entries
-//    that another worker stored into its own live module without
-//    transferring ownership.
+//  - Modules never share arenas. A module parsed or cloned from
+//    another (ir::parseModuleInto, ir::cloneOpInto) lands directly in
+//    the destination module's arena, so no op changes owner.
 //
 // Observability
 // -------------
@@ -84,11 +79,10 @@
 //    about://tracing or Perfetto; --trace-json=FILE at the CLI). Each
 //    worker thread is a named lane ("worker-N"); every job contributes
 //    an async span from batch start to job completion, nested over its
-//    frontend parse span, one span per (module, pass) step annotated
-//    with the cache outcome ("cache: run" vs "cache: replay"), and
-//    cache disk-IO spans. When disabled
-//    (the default), instrumentation costs one relaxed atomic load per
-//    site — the recorder is compiled in but never buffers.
+//    frontend parse span, and one span per (module, pass) step (a
+//    failed step is annotated "step: failed"). When disabled (the
+//    default), instrumentation costs one relaxed atomic load per site —
+//    the recorder is compiled in but never buffers.
 //
 // Failure semantics
 // -----------------
@@ -113,20 +107,11 @@
 //    cooperative cancellation; SessionOptions::jobTimeoutSeconds arms a
 //    per-job deadline at batch start. Both are polled at pass/step
 //    boundaries only — the pass currently executing always finishes, so
-//    IR and cache stay consistent; the job then fails with "cancelled
+//    the IR stays consistent; the job then fails with "cancelled
 //    ..." or "deadline exceeded after Ns in pass P" before its next
 //    pass. A compile that is between passes reacts within one step; one
 //    stuck *inside* a pass is not interrupted (cooperative, not
 //    preemptive).
-//
-//  - Cache degradation. Disk trouble in the pass cache (unwritable or
-//    unreadable entries, ENOSPC) is retried once with a short backoff,
-//    then demotes the cache to memory-only for the rest of its life:
-//    compiles keep succeeding, they just stop replaying/persisting
-//    across processes ("cache.disk.disabled" metric, stderr warning,
-//    PassResultCache::diskDemoted()). Corrupt or truncated entries are
-//    plain misses — re-verified keys and payload hashing mean a bad
-//    entry can never replay wrong IR.
 //
 //  - Memory bounds. SessionOptions::maxArenaBytesPerModule caps each
 //    job's IR arena; a module whose arena exceeds the cap at a pass/step
@@ -136,15 +121,15 @@
 //
 //  - Metrics. A process-wide MetricsRegistry aggregates named counters,
 //    gauges, and log2-bucket latency histograms across every subsystem:
-//    "cache.*" (hits/misses/stores/disk), "scheduler.*" (tasks: module
-//    dispatches; task_exceptions: dispatches cut short), "session.*" (jobs
-//    completed/failed, job-latency histogram), "pm.pass_seconds",
+//    "scheduler.*" (tasks: module dispatches; task_exceptions:
+//    dispatches cut short), "session.*" (jobs completed/failed,
+//    job-latency histogram), "pm.pass_seconds",
 //    "pass.<pass>.<stat>" (mirrors of every Pass::Statistic), and
 //    "arena.reserved_bytes" (live IR slab bytes; .peak tracks the
 //    high-water mark). MetricsRegistry::textSnapshot()/jsonSnapshot()
 //    render it (--metrics / --metrics=FILE at the CLI). The registry is
-//    process-global on purpose: one snapshot shows cache, scheduler,
-//    arena, and per-pass activity side by side, regardless of how many
+//    process-global on purpose: one snapshot shows scheduler, arena,
+//    and per-pass activity side by side, regardless of how many
 //    sessions produced it.
 #pragma once
 
@@ -200,20 +185,9 @@ struct SessionOptions {
   /// 0 = off.
   uint64_t maxArenaBytesPerModule = 0;
 
-  // Cache resolution, first match wins:
-  //   1. `cache`     — caller-owned, shareable across sessions;
-  //   2. `cacheDir`  — session-owned persistent cache rooted there
-  //      (--cache-dir at the CLI);
-  //   3. `memoryCache` — session-owned in-memory cache;
-  //   4. $PARALIFT_CACHE_DIR (unless useEnvCache is false) — the
-  //      process-wide cache, shared by every session and one-shot
-  //      wrapper in the process;
-  //   5. none.
-  // A disk cache is never evicted: it grows until its user deletes the
-  // directory.
-  transforms::PassResultCache *cache = nullptr;
-  std::string cacheDir;
+  /// Has no effect; deleted once e2ebench stops assigning it.
   bool memoryCache = false;
+  /// Has no effect; deleted once e2ebench stops assigning it.
   bool useEnvCache = true;
 
   /// When set: run this textual pipeline (registry syntax, e.g.
@@ -337,9 +311,6 @@ public:
   /// flight.
   std::string statisticsStr() const;
 
-  /// The session's pass-result cache (however it was resolved); null
-  /// when caching is off.
-  transforms::PassResultCache *cache() const { return cache_; }
   const SessionOptions &options() const { return opts_; }
 
 private:
@@ -361,8 +332,6 @@ private:
 
   SessionOptions opts_;
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::unique_ptr<transforms::PassResultCache> ownedCache_;
-  transforms::PassResultCache *cache_ = nullptr;
 
   mutable std::mutex mutex_;
   std::deque<std::unique_ptr<CompileJob>> jobs_;
@@ -379,11 +348,5 @@ private:
   /// PassManagers kept alive so statistics stay queryable after runs.
   std::vector<std::unique_ptr<transforms::PassManager>> pms_;
 };
-
-/// The process-wide cache activated by $PARALIFT_CACHE_DIR, shared by
-/// every session and one-shot wrapper in the process; null when the
-/// variable is unset. With $PARALIFT_CACHE_STATS=1 its stats line is
-/// printed to stderr at process exit.
-transforms::PassResultCache *envPassResultCache();
 
 } // namespace paralift::driver

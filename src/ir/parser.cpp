@@ -18,7 +18,7 @@ namespace {
 //===----------------------------------------------------------------------===//
 // std::stod/std::stoll throw (std::stod even for *valid* printer output:
 // subnormal spellings like 4.9e-324 raise out_of_range via ERANGE, which
-// would crash a pass-cache replay re-parsing a cached attribute). These
+// would crash a print->parse round trip of such an attribute). These
 // wrappers never throw; float parsing keeps strtod's clamped result for
 // out-of-range magnitudes (denormals, ±HUGE_VAL) since the printer only
 // emits spellings of representable doubles, and inf/nan spellings parse
@@ -752,9 +752,8 @@ Op *parseModuleInto(IRArena &arena, const std::string &text,
 
 std::optional<OwnedModule> parseModule(const std::string &text,
                                        DiagnosticEngine &diag) {
-  // Spans only the top-level entry point: parseModuleInto is the hot
-  // cache-replay path, where a span per spliced function would dominate
-  // the trace.
+  // Spans only the top-level entry point; parseModuleInto callers span
+  // their own work.
   trace::TraceSpan span("ir:parse", "parse");
   // Parse directly into the fresh module's arena; on failure the arena
   // (with any partially-parsed IR) dies with `owned`.

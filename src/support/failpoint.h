@@ -1,8 +1,8 @@
 // Deterministic fault-injection failpoints for the compilation service.
 //
-// A failpoint is a named site compiled into a trust/IO boundary — disk
-// cache reads/writes, module parsing, pass execution, scheduler task
-// dispatch, VM execution — that normally does nothing. When a spec is
+// A failpoint is a named site compiled into a trust boundary — module
+// parsing, pass execution, scheduler task dispatch, VM execution — that
+// normally does nothing. When a spec is
 // armed (via $PARALIFT_FAILPOINTS, paralift-opt --failpoints=, or
 // configure() from a test) each evaluation of a matching site may inject
 // a fault, reproducibly: triggering is a pure function of the spec's

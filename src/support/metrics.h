@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named counters, gauges, and fixed-bucket
 // latency histograms shared by every layer of the compiler (scheduler,
-// pass manager, pass-result cache, sessions, IR arenas). One snapshot —
+// pass manager, sessions, IR arenas, VM). One snapshot —
 // text for humans, JSON for CI/bench harnesses — shows the whole system.
 //
 // Handles returned by counter()/gauge()/histogram() have stable addresses
@@ -18,7 +18,7 @@
 
 namespace paralift::metrics {
 
-/// Monotonic event count (cache hits, module dispatches, jobs completed,
+/// Monotonic event count (module dispatches, jobs completed,
 /// ...).
 class Counter {
 public:
@@ -89,7 +89,7 @@ private:
 };
 
 /// The process-wide registry. Names are dotted paths by convention:
-/// "cache.hits", "scheduler.tasks", "session.job_latency_s",
+/// "scheduler.tasks", "session.job_latency_s",
 /// "arena.reserved_bytes", "pass.cse.num-erased".
 class MetricsRegistry {
 public:

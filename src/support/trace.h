@@ -14,7 +14,7 @@
 //
 // Spans use RAII: `trace::TraceSpan span("pass:cse", "pm");` records one
 // complete ('X') event at scope exit. annotate() attaches one key/value
-// argument ("cache" = "hit"). Async begin/end events ('b'/'e') tie
+// argument ("step" = "failed"). Async begin/end events ('b'/'e') tie
 // cross-thread job lifetimes together by id; counter events ('C') chart
 // a value over time.
 //
@@ -65,7 +65,7 @@ public:
   TraceSpan &operator=(const TraceSpan &) = delete;
 
   /// Attach/overwrite the span's single key/value argument, rendered
-  /// into the event's "args" object (e.g. annotate("cache", "hit")).
+  /// into the event's "args" object (e.g. annotate("step", "failed")).
   void annotate(std::string_view key, std::string_view value);
 
   bool active() const { return active_; }

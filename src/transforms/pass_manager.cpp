@@ -1,7 +1,5 @@
 #include "transforms/pass_manager.h"
 
-#include "ir/hasher.h"
-#include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "support/failpoint.h"
@@ -120,7 +118,7 @@ Pass::Statistic &Pass::statistic(const std::string &name) {
       return *s;
   stats_.push_back(std::make_unique<Statistic>(name));
   // Mirror into the process-wide registry so pass counters appear in the
-  // same snapshot as cache/scheduler/session metrics. Creation happens
+  // same snapshot as scheduler/session metrics. Creation happens
   // in pass constructors (single-threaded); bumps stay lock-free.
   stats_.back()->mirror = &metrics::MetricsRegistry::instance().counter(
       "pass." + this->name() + "." + name);
@@ -385,135 +383,6 @@ std::vector<ir::Op *> collectFuncs(ModuleOp module) {
 
 } // namespace
 
-const Hash128 &PassManager::hashOf(ir::Op *func, CacheState &st) {
-  auto it = st.irHash.find(func);
-  if (it == st.irHash.end())
-    it = st.irHash.emplace(func, ir::hashOp(func)).first;
-  return it->second;
-}
-
-ir::Op *PassManager::spliceFunction(ModuleOp module, ir::Op *oldFunc,
-                                    const std::string &text) {
-  // Cached entries hold a standalone printed func; wrap it into module
-  // syntax for the parser. Parse directly into the destination module's
-  // arena — ops must never migrate between arenas.
-  DiagnosticEngine localDiag;
-  ir::Op *top = ir::parseModuleInto(module.op->arena(),
-                                    "module {\n" + text + "\n}\n", localDiag);
-  if (!top || localDiag.hasErrors()) {
-    if (top)
-      ir::Op::destroy(top);
-    return nullptr;
-  }
-  ir::Op *newFunc = nullptr;
-  for (ir::Op *op : top->region(0).front())
-    if (op->kind() == ir::OpKind::Func) {
-      newFunc = op;
-      break;
-    }
-  if (!newFunc) {
-    ir::Op::destroy(top);
-    return nullptr;
-  }
-  newFunc->removeFromParent();
-  ir::Op::destroy(top); // detach the scaffolding; memory stays in the arena
-  module.body().insertBefore(oldFunc, newFunc);
-  oldFunc->erase();
-  return newFunc;
-}
-
-bool PassManager::applyHit(ModuleOp module, ir::Op *func,
-                           PassResultCache::Entry &&hit, bool lazy,
-                           CacheState &st) {
-  // An identity entry: the pass left this IR unchanged, so the hash
-  // chain already holds its output hash and any pending text is current.
-  if (hit.identity())
-    return true;
-  if (lazy) {
-    // Accept the hit without splicing: the hash chain advances and the
-    // latest cached text supersedes any earlier pending text.
-    st.irHash[func] = hit.outputHash;
-    st.pending[func] = std::move(hit.ir);
-    return true;
-  }
-  ir::Op *replacement = spliceFunction(module, func, hit.ir);
-  if (!replacement)
-    return false;
-  st.irHash.erase(func);
-  // A leftover lazy entry from an earlier pass would otherwise
-  // materialize outdated IR over the spliced result at the next
-  // materialize of `func`.
-  st.pending.erase(func);
-  st.irHash[replacement] = hit.outputHash;
-  return true;
-}
-
-ir::Op *PassManager::materialize(ModuleOp module, ir::Op *func,
-                                 CacheState &st) {
-  auto pendingIt = st.pending.find(func);
-  if (pendingIt == st.pending.end())
-    return func;
-  std::string text = std::move(pendingIt->second);
-  st.pending.erase(pendingIt);
-  ir::Op *replacement = spliceFunction(module, func, text);
-  if (!replacement)
-    return nullptr;
-  // The old op is gone; the hash chain continues under the
-  // replacement's identity.
-  auto hashIt = st.irHash.find(func);
-  if (hashIt != st.irHash.end()) {
-    Hash128 h = hashIt->second;
-    st.irHash.erase(hashIt);
-    st.irHash[replacement] = h;
-  }
-  return replacement;
-}
-
-bool PassManager::materializeAll(ModuleOp module, CacheState &st) {
-  while (!st.pending.empty())
-    if (!materialize(module, st.pending.begin()->first, st))
-      return false;
-  return true;
-}
-
-bool PassManager::spliceModule(ModuleOp module,
-                               const PassResultCache::Entry &entry,
-                               CacheState &st) {
-  if (entry.identity())
-    return true; // the pass left every function as it was
-  DiagnosticEngine localDiag;
-  ir::Op *top =
-      ir::parseModuleInto(module.op->arena(), entry.ir, localDiag);
-  if (!top || localDiag.hasErrors()) {
-    if (top)
-      ir::Op::destroy(top);
-    return false;
-  }
-  for (ir::Op *op : collectFuncs(module))
-    op->erase();
-  st.irHash.clear();
-  st.pending.clear();
-  std::vector<ir::Op *> newOps;
-  for (ir::Op *op : top->region(0).front())
-    newOps.push_back(op);
-  size_t funcIdx = 0;
-  for (ir::Op *op : newOps) {
-    op->removeFromParent();
-    module.body().push_back(op);
-    if (op->kind() != ir::OpKind::Func)
-      continue;
-    // The entry records the per-function result hashes; fall back to
-    // rehashing only when the metadata is absent (older cache files).
-    if (funcIdx < entry.funcHashes.size())
-      st.irHash[op] = entry.funcHashes[funcIdx];
-    else
-      st.irHash[op] = ir::hashOp(op);
-    ++funcIdx;
-  }
-  ir::Op::destroy(top); // detach the scaffolding module op
-  return true;
-}
-
 bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
   std::vector<BatchItem> items(1);
   items[0].module = module.op;
@@ -533,9 +402,6 @@ bool PassManager::run(ModuleOp module, DiagnosticEngine &diag) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-const char *const kRoundTripError =
-    "pass-cache: cached IR failed to re-parse (print/parse round-trip bug)";
-
 /// Module-dispatch counters in the process-wide registry, resolved once.
 struct DispatchCounters {
   metrics::Counter &tasks;
@@ -555,14 +421,10 @@ struct ModuleBatch::Mod {
   ir::Op *module = nullptr;
   DiagnosticEngine *diag = nullptr;
   std::function<std::optional<ModuleOp>()> prepare;
-  PassManager::CacheState st;
   size_t passIdx = 0;
   /// The current step's beforePass hooks ran and its afterPass hooks
   /// have not (see enterStep / exitStep).
   bool stepOpen = false;
-  /// The current step ran the pass on some IR rather than replaying it
-  /// all from the cache (the step's trace annotation).
-  bool stepExecuted = false;
   /// The module reached finish(), successfully or not.
   bool finished = false;
   /// One record per executed (module, pass) step, under enableTiming.
@@ -570,14 +432,7 @@ struct ModuleBatch::Mod {
 };
 
 ModuleBatch::ModuleBatch(PassManager &pm, PassManager::BatchOptions opts)
-    : pm_(pm), opts_(std::move(opts)) {
-  for (const auto &pass : pm_.passes_) {
-    bool lazy = true;
-    for (const auto &ins : pm_.instrumentations_)
-      lazy = lazy && !ins->inspectsIR(*pass);
-    lazy_.push_back(lazy ? 1 : 0);
-  }
-}
+    : pm_(pm), opts_(std::move(opts)) {}
 
 ModuleBatch::~ModuleBatch() = default;
 
@@ -601,12 +456,6 @@ void ModuleBatch::foldTiming() const {
 
 void ModuleBatch::finish(size_t i, bool ok) {
   Mod &m = *mods_[i];
-  if (ok && m.module) {
-    if (!pm_.materializeAll(ModuleOp(m.module), m.st)) {
-      m.diag->error(SourceLoc(), kRoundTripError);
-      ok = false;
-    }
-  }
   m.finished = true;
   ok_[i] = ok ? 1 : 0;
   if (opts_.onModuleDone)
@@ -614,30 +463,16 @@ void ModuleBatch::finish(size_t i, bool ok) {
 }
 
 void ModuleBatch::fail(size_t i) {
-  Mod &m = *mods_[i];
-  // Leave the failed module's (partially transformed) IR materialized;
-  // a round-trip failure here is secondary to the abort being reported.
-  if (m.module)
-    pm_.materializeAll(ModuleOp(m.module), m.st);
-  if (m.stepOpen)
+  if (mods_[i]->stepOpen)
     exitStep(i);
   finish(i, false);
 }
 
-bool ModuleBatch::enterStep(size_t i, Pass &pass) {
+void ModuleBatch::enterStep(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
-  ModuleOp module(m.module);
-  // Before a pass some instrumentation inspects, every pending replay is
-  // spliced so the hooks (and the pass) observe real IR.
-  if (!lazy_[m.passIdx] && !pm_.materializeAll(module, m.st)) {
-    m.diag->error(SourceLoc(), kRoundTripError);
-    fail(i);
-    return false;
-  }
   m.stepOpen = true;
   for (auto &ins : pm_.instrumentations_)
-    ins->beforePass(pass, module);
-  return true;
+    ins->beforePass(pass, ModuleOp(m.module));
 }
 
 bool ModuleBatch::exitStep(size_t i) {
@@ -696,34 +531,26 @@ void ModuleBatch::runModule(size_t i) {
 
 void ModuleBatch::compile(size_t i) {
   Mod &m = *mods_[i];
-  {
+  if (m.prepare) {
     trace::TraceSpan span(spanName("start:", m.diag->moduleName()), "pm");
-    if (m.prepare) {
-      // The prepare hook crosses into frontend code; contain anything it
-      // throws as this module's parse failure (the session's own hook
-      // catches too — this covers other callers of makeBatch).
-      std::optional<ModuleOp> parsed;
-      try {
-        parsed = m.prepare();
-      } catch (const std::exception &e) {
-        m.diag->error(SourceLoc(),
-                      std::string("module preparation threw: ") + e.what());
-      } catch (...) {
-        m.diag->error(SourceLoc(),
-                      "module preparation threw a non-standard exception");
-      }
-      if (!parsed) {
-        finish(i, false);
-        return;
-      }
-      m.module = parsed->op;
+    // The prepare hook crosses into frontend code; contain anything it
+    // throws as this module's parse failure (the session's own hook
+    // catches too — this covers other callers of makeBatch).
+    std::optional<ModuleOp> parsed;
+    try {
+      parsed = m.prepare();
+    } catch (const std::exception &e) {
+      m.diag->error(SourceLoc(),
+                    std::string("module preparation threw: ") + e.what());
+    } catch (...) {
+      m.diag->error(SourceLoc(),
+                    "module preparation threw a non-standard exception");
     }
-    // Initial keying: one structural-hash walk per function.
-    if (pm_.cache_) {
-      ModuleOp module(m.module);
-      for (ir::Op *func : collectFuncs(module))
-        m.st.irHash[func] = ir::hashOp(func);
+    if (!parsed) {
+      finish(i, false);
+      return;
     }
+    m.module = parsed->op;
   }
   for (; m.passIdx < pm_.passes_.size(); ++m.passIdx) {
     Pass &pass = *pm_.passes_[m.passIdx];
@@ -735,13 +562,10 @@ void ModuleBatch::compile(size_t i) {
     {
       trace::TraceSpan span(spanName("pass:", pass.name()), "pm");
       // Pass bodies are individually contained (runPassContained); this
-      // outer catch covers the step machinery itself — hooks, cache
-      // probes, materialization, hashing.
+      // outer catch covers the step machinery itself — the hooks.
       try {
-        ok = enterStep(i, pass) &&
-             (pass.isFunctionPass()
-                  ? runFunctionPass(i, static_cast<FunctionPass &>(pass))
-                  : runModulePass(i, pass));
+        enterStep(i, pass);
+        ok = runPass(i, pass);
       } catch (const std::exception &e) {
         m.diag->error(SourceLoc(), "pass step '" + pass.name() +
                                        "' threw: " + e.what());
@@ -754,12 +578,8 @@ void ModuleBatch::compile(size_t i) {
         fail(i);
         return;
       }
-      if (span.active()) {
-        if (ok)
-          span.annotate("cache", m.stepExecuted ? "run" : "replay");
-        else
-          span.annotate("step", "failed");
-      }
+      if (!ok && span.active())
+        span.annotate("step", "failed");
     }
     if (!ok)
       return;
@@ -767,153 +587,48 @@ void ModuleBatch::compile(size_t i) {
       fail(i);
       return;
     }
-    m.stepExecuted = false;
   }
   finish(i, true);
 }
 
-bool ModuleBatch::runModulePass(size_t i, Pass &pass) {
+bool ModuleBatch::runPass(size_t i, Pass &pass) {
   Mod &m = *mods_[i];
   ModuleOp module(m.module);
   DiagnosticEngine &diag = *m.diag;
-  PassResultCache *cache = pm_.cache_;
-  Hash128 input;
-  std::string spec;
-  if (cache) {
-    // Module granularity: key on the fold of the per-function hashes (the
-    // module body holds only funcs). The "module:" spec prefix keeps the
-    // key space disjoint from per-function entries.
-    spec = "module:" + pass.spec();
-    for (ir::Op *func : collectFuncs(module))
-      input = combineHash(input, pm_.hashOf(func, m.st));
-    if (auto hit = cache->lookup(input, spec)) {
-      if (pm_.spliceModule(module, *hit, m.st)) {
-        cache->notePassReplayed();
-        return true;
-      }
-      // Unparseable entry: recompute (rare; the corrupt key is simply
-      // overwritten by the store below).
-    }
-    if (!pm_.materializeAll(module, m.st)) {
-      diag.error(SourceLoc(), kRoundTripError);
-      fail(i);
-      return false;
-    }
-    cache->notePassExecuted();
+  // A function pass runs once per function, each call timed and
+  // contained on its own; a module pass runs once.
+  std::vector<ir::Op *> funcs;
+  if (pass.isFunctionPass()) {
+    funcs = collectFuncs(module);
+    if (funcs.empty())
+      return true; // nothing ran, so the step records no timing
   }
-  m.stepExecuted = true;
   size_t errorsBefore = diag.numErrors();
   uint64_t arenaStart = module.op->arena().bytesAllocated();
-  auto t0 = std::chrono::steady_clock::now();
-  bool okRun = runPassContained(pass.name(), diag,
-                                [&] { return pass.run(module, diag); });
-  double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  passSecondsHistogram().observe(secs);
-  if (pm_.timing_)
-    addTiming(i, pass.spec(), secs,
-              module.op->arena().bytesAllocated() - arenaStart);
-  if (!okRun || diag.numErrors() > errorsBefore) {
-    fail(i);
-    return false;
-  }
-  if (cache) {
-    m.st.irHash.clear();
-    PassResultCache::Entry entry;
-    Hash128 output;
-    for (ir::Op *func : collectFuncs(module)) {
-      Hash128 h = ir::hashOp(func);
-      m.st.irHash[func] = h;
-      entry.funcHashes.push_back(h);
-      output = combineHash(output, h);
-    }
-    // The chain key of a module entry is the same per-function fold the
-    // next module pass derives its input from. An unchanged module is
-    // stored as an identity entry: no text, nothing to splice on replay.
-    entry.outputHash = output;
-    if (output == input)
-      entry.funcHashes.clear();
-    else
-      entry.ir = ir::printOp(module.op);
-    cache->store(input, spec, std::move(entry));
-  }
-  return true;
-}
-
-bool ModuleBatch::runFunctionPass(size_t i, FunctionPass &pass) {
-  Mod &m = *mods_[i];
-  ModuleOp module(m.module);
-  PassResultCache *cache = pm_.cache_;
-  const std::string spec = pass.spec();
-  const bool lazy = lazy_[m.passIdx] != 0;
-  // One scan: hits advance in place; misses (and corrupt hits) collect
-  // for one execution. Without a cache every function runs.
-  std::vector<FuncRun> toRun;
-  for (ir::Op *func : collectFuncs(module)) {
-    Hash128 input;
-    if (cache) {
-      input = pm_.hashOf(func, m.st);
-      if (auto hit = cache->lookup(input, spec))
-        if (pm_.applyHit(module, func, std::move(*hit), lazy, m.st))
-          continue;
-      // The pass must run on this function's real IR.
-      func = pm_.materialize(module, func, m.st);
-      if (!func) {
-        m.diag->error(SourceLoc(), kRoundTripError);
-        fail(i);
-        return false;
-      }
-    }
-    toRun.push_back({func, input});
-  }
-  if (!toRun.empty())
-    return executeMisses(i, pass, spec, toRun);
-  if (cache)
-    cache->notePassReplayed();
-  return true;
-}
-
-bool ModuleBatch::executeMisses(size_t i, FunctionPass &pass,
-                                const std::string &spec,
-                                const std::vector<FuncRun> &toRun) {
-  Mod &m = *mods_[i];
-  PassResultCache *cache = pm_.cache_;
-  m.stepExecuted = true;
-  if (cache)
-    cache->notePassExecuted();
-  size_t errorsBefore = m.diag->numErrors();
-  uint64_t arenaStart = m.module->arena().bytesAllocated();
   double stepSecs = 0;
   bool ok = true;
-  for (const FuncRun &r : toRun) {
+  auto timed = [&](auto &&body) {
     auto t0 = std::chrono::steady_clock::now();
-    ok = runPassContained(pass.name(), *m.diag,
-                          [&] { return pass.runOnFunction(r.func, *m.diag); }) &&
-         ok;
+    ok = runPassContained(pass.name(), diag, body) && ok;
     double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     passSecondsHistogram().observe(secs);
     stepSecs += secs;
+  };
+  if (pass.isFunctionPass()) {
+    auto &fp = static_cast<FunctionPass &>(pass);
+    for (ir::Op *func : funcs)
+      timed([&] { return fp.runOnFunction(func, diag); });
+  } else {
+    timed([&] { return pass.run(module, diag); });
   }
   if (pm_.timing_)
-    addTiming(i, spec, stepSecs,
-              m.module->arena().bytesAllocated() - arenaStart);
-  if (!ok || m.diag->numErrors() > errorsBefore) {
-    fail(i); // a failed module stores nothing for the step
+    addTiming(i, pass.spec(), stepSecs,
+              module.op->arena().bytesAllocated() - arenaStart);
+  if (!ok || diag.numErrors() > errorsBefore) {
+    fail(i);
     return false;
-  }
-  if (!cache)
-    return true;
-  for (const FuncRun &r : toRun) {
-    // A function the pass left unchanged is stored as an identity
-    // entry, skipping the print here and the splice on every replay.
-    Hash128 outputHash = ir::hashOp(r.func);
-    cache->store(r.input, spec,
-                 outputHash == r.input ? std::string() : ir::printOp(r.func),
-                 outputHash);
-    m.st.irHash[r.func] = outputHash;
   }
   return true;
 }

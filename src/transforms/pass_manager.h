@@ -2,8 +2,7 @@
 //
 //  - Pass: a named, parameterized, restartable unit of IR transformation
 //    with declared options (for textual pipelines) and statistics counters.
-//  - FunctionPass: a pass that runs independently on each func, so its
-//    results can be cached and replayed per function.
+//  - FunctionPass: a pass that runs independently on each func.
 //  - Instrumentation: hooks around every pass execution. Built-ins cover
 //    --print-ir-before/after and verify-after-each-pass with a "pass X
 //    broke invariant Y" diagnostic.
@@ -14,9 +13,6 @@
 //    its whole pipeline, pass after pass, on the thread that dispatches
 //    it. makeBatch prepares many modules for any number of threads to
 //    dispatch; run() is a batch of one on the calling thread.
-//    It optionally threads a PassResultCache (transforms/pass_cache.h)
-//    through the pipeline, replaying cached IR for unchanged
-//    (function, pass) pairs instead of re-running passes.
 //
 // Textual pipelines ("unroll{max-trip=16},cpuify{mincut=false}",
 // "repeat{n=2}(canonicalize,cse)") are parsed/printed by
@@ -27,7 +23,6 @@
 #include "ir/ophelpers.h"
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "transforms/pass_cache.h"
 
 #include <atomic>
 #include <cstdint>
@@ -36,7 +31,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace paralift::transforms {
@@ -59,8 +53,7 @@ public:
   const std::string &name() const { return name_; }
   const std::string &description() const { return description_; }
 
-  /// True for FunctionPass subclasses: the pass runs per-func, and the
-  /// result cache keys and replays it per function.
+  /// True for FunctionPass subclasses: the pass runs per-func.
   virtual bool isFunctionPass() const { return false; }
 
   /// Module-scope entry point. Returns false on a hard error (which must
@@ -94,7 +87,7 @@ public:
     std::atomic<uint64_t> value{0};
     /// Registry twin ("pass.<pass-name>.<stat-name>"), resolved when the
     /// statistic is created, so one metrics snapshot includes every pass
-    /// counter alongside cache/scheduler/session figures.
+    /// counter alongside scheduler/session figures.
     metrics::Counter *mirror = nullptr;
     Statistic(std::string n) : name(std::move(n)) {}
     void operator+=(uint64_t d) {
@@ -154,8 +147,7 @@ private:
 
 /// A pass that transforms one function at a time and never looks outside
 /// it. run() applies runOnFunction to every func in order; the
-/// PassManager does the same, skipping functions whose result it replays
-/// from the cache.
+/// PassManager does the same, timing and containing each call.
 class FunctionPass : public Pass {
 public:
   using Pass::Pass;
@@ -167,9 +159,8 @@ public:
 /// repeat{n=K}(a,b,...): a composite pass running its children K times in
 /// sequence — the declarative form of the canonicalize/cse fixpoint pairs
 /// in the standard pipeline. Children must be function passes (the repeat
-/// is then itself a function pass, cacheable per function as one unit
-/// whose spec covers the whole body); the registry rejects module passes
-/// inside repeat.
+/// is then itself a function pass whose spec covers the whole body); the
+/// registry rejects module passes inside repeat.
 class RepeatPass : public FunctionPass {
 public:
   RepeatPass();
@@ -219,26 +210,13 @@ public:
     (void)diag;
     return true;
   }
-  /// Whether the hooks read the module IR around `pass`. When every
-  /// installed instrumentation answers false for a pass (e.g. a filtered
-  /// IR printer watching another pass), the result cache may defer
-  /// splicing replayed IR past it — consecutive cache hits then cost
-  /// hash-chain lookups instead of parse round-trips. Laziness is decided
-  /// per pass: before a pass some instrumentation does inspect, the
-  /// executor materializes every pending replay so the hooks (and the
-  /// pass) observe real IR.
-  virtual bool inspectsIR(const Pass &pass) const {
-    (void)pass;
-    return true;
-  }
 };
 
 /// Per-pass wall-clock timing and IR-arena growth, one record per
 /// (module, pass) step that executed, in module then pipeline order.
 /// Filled when PassManager::enableTiming installed the report: every
 /// step clocks its pass bodies into its module's records, and
-/// ModuleBatch::foldTiming appends them. Steps replayed from the result
-/// cache run no pass body and record nothing.
+/// ModuleBatch::foldTiming appends them.
 struct PassTimingReport {
   struct Record {
     std::string spec; ///< canonical pass spec at execution time
@@ -282,10 +260,6 @@ public:
   void beforePass(const Pass &pass, ModuleOp module) override;
   bool afterPass(const Pass &pass, ModuleOp module,
                  DiagnosticEngine &diag) override;
-  /// Only the watched pass needs materialized IR: a filtered
-  /// --print-ir-after=P no longer forces eager replay of the whole
-  /// pipeline, only of pass P.
-  bool inspectsIR(const Pass &pass) const override { return matches(pass); }
 
 private:
   bool matches(const Pass &pass) const {
@@ -305,7 +279,7 @@ private:
 /// boundaries — an expired job fails with an attributed diagnostic
 /// ("cancelled ..." / "deadline exceeded after Ns in pass P") before its
 /// next pass starts; the pass currently executing is never interrupted
-/// mid-flight, so IR and cache state stay consistent. Thread-safe: any
+/// mid-flight, so the IR stays consistent. Thread-safe: any
 /// thread may cancel() while workers poll.
 class CancellationToken {
 public:
@@ -365,24 +339,12 @@ public:
   /// default so compile hot paths pay nothing for unread counters).
   void enableStatistics() { collectStats_ = true; }
 
-  /// Attaches a pass-result cache (owned by the caller; shareable across
-  /// PassManagers and threads). When set, each pass execution is keyed on
-  /// (canonical pass spec, ir::hashOp structural hash of the input IR)
-  /// per function — per module for module passes, folding the
-  /// per-function hashes — and cache hits splice the stored IR in
-  /// instead of running the pass. Keying never prints IR; the structural
-  /// hash is one walk per (function, pass) boundary, and replayed passes
-  /// reuse the stored output hash without any walk at all.
-  void setResultCache(PassResultCache *cache) { cache_ = cache; }
-  PassResultCache *resultCache() const { return cache_; }
-
   /// Knobs for a module batch (makeBatch).
   /// Instrumentations installed via enable*/addInstrumentation wrap every
   /// step of every module in the batch.
   struct BatchOptions {
     /// Invoked on the dispatching thread the moment a module's last pass
-    /// — or terminal cache splice — has completed and its IR is
-    /// materialized, before the next module is dispatched. This is what
+    /// has completed, before the next module is dispatched. This is what
     /// lets CompileJobs resolve incrementally inside one batch.
     std::function<void(size_t index, bool ok)> onModuleDone;
     /// Per-module cancellation/deadline tokens, parallel to the
@@ -415,18 +377,16 @@ public:
 
   /// Prepares `items` for dispatch through this pipeline, the one
   /// pass-execution engine. The caller dispatches each module once with
-  /// ModuleBatch::runModule, from any thread: each call prepares and
-  /// keys its module (ir::hashOp), then runs every pass in order, and
-  /// opts.onModuleDone resolves the module the moment its own last step
-  /// lands. Distinct modules may run concurrently; sessions drain the
-  /// modules of every pipeline group from one shared queue. The result
-  /// cache is a plain memo: a module replays what earlier steps stored,
-  /// while identical kernels compiled at the same moment each run their
-  /// passes. Pass execution on a given input is deterministic, so outputs
-  /// are bit-for-bit identical to serial compiles regardless of
-  /// interleaving. A failing module (pass error, verifier breakage,
-  /// expired token) stops advancing and is left materialized; the rest
-  /// of the batch continues unaffected (job-level isolation).
+  /// ModuleBatch::runModule, from any thread: each call prepares its
+  /// module, then runs every pass in order, and opts.onModuleDone
+  /// resolves the module the moment its own last step lands. Distinct
+  /// modules may run concurrently; sessions drain the modules of every
+  /// pipeline group from one shared queue. Pass execution on a given
+  /// input is deterministic, so outputs are bit-for-bit identical to
+  /// serial compiles regardless of interleaving. A failing module (pass
+  /// error, verifier breakage, expired token) stops advancing and keeps
+  /// its partially transformed IR; the rest of the batch continues
+  /// unaffected (job-level isolation).
   ///
   /// This PassManager must outlive the batch; ModuleBatch::results()
   /// holds per-module success once every module ran.
@@ -441,47 +401,12 @@ public:
   /// Renders non-zero statistics of all passes as a table.
   std::string statisticsStr() const;
 
-  /// Per-module cache bookkeeping: the chained per-function structural IR
-  /// hashes plus — for lazily replayed passes — cached result text
-  /// accepted but not yet spliced into the module (consecutive hits only
-  /// advance the hash chain; IR is materialized when a pass actually has
-  /// to execute, when an instrumentation inspects it, or at end of run).
-  /// Public only for ModuleBatch's per-module state; not a client API.
-  struct CacheState {
-    std::unordered_map<ir::Op *, Hash128> irHash;
-    std::unordered_map<ir::Op *, std::string> pending;
-  };
-
 private:
   friend class ModuleBatch;
-
-  /// Structural hash (ir::hashOp) of `func`'s logical IR, walking it on
-  /// first use; never prints.
-  const Hash128 &hashOf(ir::Op *func, CacheState &st);
-  /// Splices `func`'s pending cached text into the module (no-op without
-  /// pending text). Returns the replacement op, or nullptr on a
-  /// print/parse round-trip failure (reported by the caller).
-  ir::Op *materialize(ModuleOp module, ir::Op *func, CacheState &st);
-  /// Materializes every pending function; false on round-trip failure.
-  bool materializeAll(ModuleOp module, CacheState &st);
-  /// Replaces `oldFunc` with the function parsed from cached `text`;
-  /// returns the new func, or nullptr if the entry fails to parse.
-  ir::Op *spliceFunction(ModuleOp module, ir::Op *oldFunc,
-                         const std::string &text);
-  /// Applies a per-function cache hit: lazy mode parks the cached text
-  /// and advances the hash chain; eager mode splices immediately. False
-  /// when the entry fails to splice (caller treats it as a miss).
-  bool applyHit(ModuleOp module, ir::Op *func, PassResultCache::Entry &&hit,
-                bool lazy, CacheState &st);
-  /// Replaces the whole module body from a cached module entry,
-  /// re-keying the hash chain (via the entry's funcHashes when present).
-  bool spliceModule(ModuleOp module, const PassResultCache::Entry &entry,
-                    CacheState &st);
 
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<std::unique_ptr<Instrumentation>> instrumentations_;
   bool collectStats_ = false;
-  PassResultCache *cache_ = nullptr;
   PassTimingReport *timing_ = nullptr;
 };
 
@@ -496,9 +421,9 @@ class ModuleBatch {
 public:
   ~ModuleBatch();
 
-  /// Compiles module `i`: prepare, initial keying, then every pass in
-  /// order, all on the calling thread. Call once per module; distinct
-  /// modules may run concurrently on different threads. This is the
+  /// Compiles module `i`: prepare, then every pass in order, all on the
+  /// calling thread. Call once per module; distinct modules may run
+  /// concurrently on different threads. This is the
   /// last line of containment: an exception escaping the module's
   /// machinery (or the "scheduler.task" failpoint, which fires before
   /// the module starts) is counted in "scheduler.task_exceptions" and
@@ -525,47 +450,32 @@ private:
 
   /// One module's state; only the thread running the module touches it.
   struct Mod;
-  struct FuncRun {
-    ir::Op *func = nullptr;
-    Hash128 input;
-  };
 
   ModuleBatch(PassManager &pm, PassManager::BatchOptions opts);
 
   /// The module's pipeline loop (runModule minus containment).
   void compile(size_t i);
-  /// Opens the module's step for `pass`: materializes pending replays
-  /// when a hook inspects the pass and runs every beforePass hook. False
-  /// when the module failed (fail(i) has run).
-  bool enterStep(size_t i, Pass &pass);
+  /// Opens the module's step for `pass`: runs every beforePass hook.
+  void enterStep(size_t i, Pass &pass);
   /// Closes the open step: every afterPass hook, in reverse installation
   /// order. False when a hook aborted or reported an error.
   bool exitStep(size_t i);
-  /// Run one pass step over module i; false when the module failed
-  /// (fail(i) has run).
-  bool runModulePass(size_t i, Pass &pass);
-  bool runFunctionPass(size_t i, FunctionPass &pass);
-  /// Runs `pass` on every function of `toRun` in order, then either
-  /// fails the module (false) or stores the results and advances the
-  /// hash chain (true).
-  bool executeMisses(size_t i, FunctionPass &pass, const std::string &spec,
-                     const std::vector<FuncRun> &toRun);
+  /// Runs `pass` over module i; false when the module failed (fail(i)
+  /// has run).
+  bool runPass(size_t i, Pass &pass);
   /// Polls the module's cancellation token and arena cap; on violation
   /// records the diagnostic, fails the module, and returns true (stop
   /// the module). Called only between steps.
   bool checkJobLimits(size_t i, Pass &pass);
   void finish(size_t i, bool ok);
-  /// Fails module i: materializes its IR, closes an open step (afterPass
-  /// hooks still observe a failed pass), and finishes it.
+  /// Fails module i: closes an open step (afterPass hooks still observe a
+  /// failed pass) and finishes it.
   void fail(size_t i);
   void addTiming(size_t i, const std::string &spec, double seconds,
                  uint64_t arenaDelta);
 
   PassManager &pm_;
   PassManager::BatchOptions opts_;
-  /// Per pipeline position: whether cached replays may stay unspliced
-  /// across the pass (no installed instrumentation inspects its IR).
-  std::vector<char> lazy_;
   std::vector<std::unique_ptr<Mod>> mods_;
   std::vector<char> ok_; ///< element i written only by module i's thread
 };

@@ -15,16 +15,8 @@
 //     -> omp-lower{collapse,fuse,hoist,inner-serialize,outer-only}
 //          collapse / fusion / hoisting / inner serialization (§IV-D)
 //
-// Result caching (transforms/pass_cache.h):
-//
-//   A PassResultCache (PassManager::setResultCache; the session's cache
-//   options, --cache-dir) keys every pass execution on (canonical pass
-//   spec, structural hash of the function's IR) and replays cached
-//   output IR for hits: recompiling an unchanged kernel through an
-//   unchanged pipeline prefix executes zero transform passes, and
-//   ablation sweeps whose stages diverge at pass k re-run only from k
-//   onwards. Passes themselves keep no analysis state between runs:
-//   each computes what it needs (analysis/) from the IR it is handed.
+// Passes keep no analysis state between runs: each computes what it
+// needs (analysis/) from the IR it is handed.
 //
 // Every stage is exposed three ways:
 //   1. a legacy free function (runCanonicalize(...)), kept for tests and
@@ -164,11 +156,11 @@ std::unique_ptr<Pass> createOmpLowerPass(const OmpLowerOptions &opts = {});
 /// Appends the full compilation pipeline per `opts` to `pm`, declaratively.
 void buildPipeline(PassManager &pm, const PipelineOptions &opts);
 
-/// Full pipeline per PipelineOptions on the calling thread, uncached and
+/// Full pipeline per PipelineOptions on the calling thread,
 /// uninstrumented; then verifies the result. Returns false if a hard
 /// error was reported (e.g. non-uniform barrier condition) or the final
-/// module is invalid. Instrumented, threaded, or cached compiles go
-/// through driver::CompilerSession (SessionOptions).
+/// module is invalid. Instrumented or threaded compiles go through
+/// driver::CompilerSession (SessionOptions).
 bool runPipeline(ModuleOp module, const PipelineOptions &opts,
                  DiagnosticEngine &diag);
 

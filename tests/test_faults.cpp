@@ -1,7 +1,7 @@
 // Fault-injection and failure-containment tests: the failpoint spec
 // parser and trigger determinism, end-to-end containment of injected
 // faults at every trust boundary (parse, pass execution, scheduler
-// tasks, disk cache, VM execution), cooperative cancellation and
+// tasks, VM execution), cooperative cancellation and
 // per-job deadlines, per-job arena caps — and the capstone soak: the
 // Rodinia suite compiled through randomized seeded fault schedules,
 // asserting the process never crashes, failed jobs carry attributed
@@ -13,17 +13,14 @@
 #include "rodinia/rodinia.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
-#include "transforms/pass_cache.h"
 #include "vm/compile.h"
 #include "vm/interp.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <vector>
-#include <unistd.h>
 
 using namespace paralift;
 using transforms::PipelineOptions;
@@ -36,12 +33,9 @@ struct FailpointGuard {
   ~FailpointGuard() { failpoint::clearAll(); }
 };
 
-driver::SessionOptions batchOptions(unsigned threads,
-                                    transforms::PassResultCache *cache) {
+driver::SessionOptions batchOptions(unsigned threads) {
   driver::SessionOptions so;
   so.threads = threads;
-  so.cache = cache;
-  so.useEnvCache = false; // results must not depend on the environment
   return so;
 }
 
@@ -50,23 +44,13 @@ driver::SessionOptions batchOptions(unsigned threads,
 std::string serialReference(const std::string &source,
                             const PipelineOptions &opts = {}) {
   DiagnosticEngine diag;
-  driver::SessionOptions so;
-  so.useEnvCache = false;
-  auto cc = driver::compile(source, opts, diag, std::move(so));
+  auto cc = driver::compile(source, opts, diag);
   EXPECT_TRUE(cc.ok) << diag.str();
   return ir::printOp(cc.module.op());
 }
 
 uint64_t counterVal(const std::string &name) {
   return metrics::MetricsRegistry::instance().counterValue(name);
-}
-
-std::string tempDir(const std::string &tag) {
-  auto dir = std::filesystem::temp_directory_path() /
-             ("paralift-faults-test-" + tag + "-" +
-              std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir.string();
 }
 
 } // namespace
@@ -79,7 +63,7 @@ TEST(FailpointSpec, DisarmedSitesAreInert) {
   FailpointGuard guard;
   failpoint::clearAll();
   EXPECT_FALSE(failpoint::armed());
-  EXPECT_EQ(failpoint::evaluate("cache.disk.read"), failpoint::Action::None);
+  EXPECT_EQ(failpoint::evaluate("parse.module"), failpoint::Action::None);
   EXPECT_FALSE(failpoint::shouldFail("pass.run"));
 }
 
@@ -200,8 +184,7 @@ TEST(FaultContainmentTest, ParseFaultFailsOnlyItsJob) {
   std::string err;
   // Every 2nd parse throws: half the batch fails at the frontend.
   ASSERT_TRUE(failpoint::configure("parse.module=throw:0,2", &err)) << err;
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(2, &cache));
+  driver::CompilerSession session(batchOptions(2));
   auto &a = session.addSource("a", suite[0].cudaSource);
   auto &b = session.addSource("b", suite[0].cudaSource);
   auto &c = session.addSource("c", suite[0].cudaSource);
@@ -234,8 +217,7 @@ TEST(FaultContainmentTest, PassFaultFailsJobBatchSurvives) {
   std::string err;
   // One early pass run throws (every 3rd): some jobs fail mid-pipeline.
   ASSERT_TRUE(failpoint::configure("pass.run=throw:0,3", &err)) << err;
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(4, &cache));
+  driver::CompilerSession session(batchOptions(4));
   std::vector<driver::CompileJob *> jobs;
   for (int i = 0; i < 4; ++i)
     jobs.push_back(&session.addSource(suite[i].id, suite[i].cudaSource));
@@ -268,8 +250,7 @@ TEST(FaultContainmentTest, SchedulerTaskFaultNeverHangsTheBatch) {
   // affected jobs so every future resolves.
   ASSERT_TRUE(failpoint::configure("scheduler.task=throw:0,7", &err)) << err;
   const auto &suite = rodinia::suite();
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(4, &cache));
+  driver::CompilerSession session(batchOptions(4));
   std::vector<driver::CompileJob *> jobs;
   for (const auto &b : suite)
     jobs.push_back(&session.addSource(b.id, b.cudaSource));
@@ -290,8 +271,7 @@ TEST(FaultContainmentTest, SchedulerTaskFaultNeverHangsTheBatch) {
 TEST(CancellationTest, CancelledJobFailsOthersComplete) {
   const auto &suite = rodinia::suite();
   std::string golden = serialReference(suite[0].cudaSource);
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(2, &cache));
+  driver::CompilerSession session(batchOptions(2));
   auto &a = session.addSource("a", suite[0].cudaSource);
   auto &b = session.addSource("b", suite[0].cudaSource);
   auto &c = session.addSource("c", suite[0].cudaSource);
@@ -313,8 +293,7 @@ TEST(CancellationTest, JobTimeoutCancelsCleanly) {
   // the first post-pass boundary.
   ASSERT_TRUE(failpoint::configure("pass.run=delay(30)", &err)) << err;
   const auto &suite = rodinia::suite();
-  transforms::PassResultCache cache;
-  driver::SessionOptions so = batchOptions(2, &cache);
+  driver::SessionOptions so = batchOptions(2);
   so.jobTimeoutSeconds = 0.01;
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> jobs;
@@ -332,8 +311,7 @@ TEST(CancellationTest, JobTimeoutCancelsCleanly) {
 
 TEST(CancellationTest, ArenaCapFailsJobWithCleanDiagnostic) {
   const auto &suite = rodinia::suite();
-  transforms::PassResultCache cache;
-  driver::SessionOptions so = batchOptions(2, &cache);
+  driver::SessionOptions so = batchOptions(2);
   so.maxArenaBytesPerModule = 1; // everything breaches immediately
   driver::CompilerSession session(std::move(so));
   auto &job = session.addSource("capped", suite[0].cudaSource);
@@ -345,13 +323,12 @@ TEST(CancellationTest, ArenaCapFailsJobWithCleanDiagnostic) {
 }
 
 TEST(CancellationTest, InstrumentedPathEnforcesArenaCapPerPass) {
-  // A configurePassManager hook compiles each job alone, as a DAG batch
-  // of one: the arena cap is polled at every pass boundary like the
-  // batch path's, so the breach is attributed to a pass, not to the
-  // whole pipeline.
+  // A configurePassManager hook drains the batch on the calling thread,
+  // one module at a time: the arena cap is polled at every pass boundary
+  // like the threaded path's, so the breach is attributed to a pass, not
+  // to the whole pipeline.
   const auto &suite = rodinia::suite();
-  transforms::PassResultCache cache;
-  driver::SessionOptions so = batchOptions(2, &cache);
+  driver::SessionOptions so = batchOptions(2);
   so.configurePassManager = [](transforms::PassManager &) {};
   so.maxArenaBytesPerModule = 1;
   driver::CompilerSession session(std::move(so));
@@ -464,19 +441,13 @@ namespace {
 void soakRound(unsigned seed, const std::vector<std::string> &golden) {
   std::string s = std::to_string(seed);
   std::string spec = "pass.run=throw:" + s + ",0.02"
-                     ";parse.module=throw:" + s + ",0.1"
-                     ";cache.disk.read=error:" + s + ",0.3"
-                     ";cache.disk.write=error:" + s + ",0.3";
+                     ";parse.module=throw:" + s + ",0.1";
   std::string err;
   ASSERT_TRUE(failpoint::configure(spec, &err)) << err;
 
-  std::string dir = tempDir("soak-" + s);
   const auto &suite = rodinia::suite();
   {
-    // A disk-backed cache so the cache.disk.* faults have a real IO
-    // path to corrupt (read/write errors retry, then demote cleanly).
-    transforms::PassResultCache cache(dir);
-    driver::CompilerSession session(batchOptions(4, &cache));
+    driver::CompilerSession session(batchOptions(4));
     std::vector<driver::CompileJob *> jobs;
     for (const auto &b : suite)
       jobs.push_back(&session.addSource(b.id, b.cudaSource));
@@ -501,7 +472,6 @@ void soakRound(unsigned seed, const std::vector<std::string> &golden) {
     }
   }
   failpoint::clearAll();
-  std::filesystem::remove_all(dir);
 }
 
 } // namespace

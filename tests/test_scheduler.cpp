@@ -1,13 +1,11 @@
 // Module-queue stress tests: a 4x-duplicated Rodinia suite with a
 // deterministic random per-module pipeline mix, compiled under
-// --pm-threads={1,2,8} against one shared cache, repeatedly — asserting
-// bit-for-bit output identity with a 1-thread reference, no deadlocks
-// (a hang fails the ctest timeout), cache sharing across the duplicated
-// modules and repeated runs, and jobs resolving before the batch ends.
+// --pm-threads={1,2,8}, repeatedly — asserting bit-for-bit output
+// identity with a 1-thread reference, no deadlocks (a hang fails the
+// ctest timeout), and jobs resolving before the batch ends.
 #include "driver/compiler.h"
 #include "ir/printer.h"
 #include "rodinia/rodinia.h"
-#include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -27,10 +25,8 @@ struct StressJob {
 };
 
 /// 4x duplicated suite with a seeded random pipeline mix per module —
-/// duplicates share kernels (a copy compiled after another replays its
-/// entries; copies compiled at the same moment each run the passes and
-/// store the same results) while the mixed pipelines split the batch
-/// into overlapping groups.
+/// duplicates compile the same kernels on different workers at once,
+/// while the mixed pipelines split the batch into overlapping groups.
 std::vector<StressJob> stressJobs() {
   const PipelineOptions modes[] = {PipelineOptions{},
                                    PipelineOptions::optDisabled(),
@@ -45,12 +41,9 @@ std::vector<StressJob> stressJobs() {
 }
 
 std::vector<std::string> compileStress(const std::vector<StressJob> &jobs,
-                                       unsigned threads,
-                                       transforms::PassResultCache *cache) {
+                                       unsigned threads) {
   driver::SessionOptions so;
   so.threads = threads;
-  so.cache = cache;
-  so.useEnvCache = false;
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> handles;
   for (const StressJob &j : jobs)
@@ -69,28 +62,19 @@ std::vector<std::string> compileStress(const std::vector<StressJob> &jobs,
 
 TEST(SchedulerStressTest, DuplicatedSuiteMixedPipelinesMatchesSerial) {
   std::vector<StressJob> jobs = stressJobs();
-  // Serial reference: 1 thread, fresh cache.
-  transforms::PassResultCache refCache;
-  std::vector<std::string> expected = compileStress(jobs, 1, &refCache);
+  // Serial reference: 1 thread.
+  std::vector<std::string> expected = compileStress(jobs, 1);
 
   for (unsigned threads : {1u, 2u, 8u}) {
-    // One shared cache per thread count, reused across repeated runs:
-    // run 1 populates under contention, later runs replay under
-    // contention. Any deadlock hangs the test past its ctest timeout.
-    transforms::PassResultCache cache;
+    // Repeated runs per thread count; any deadlock hangs the test past
+    // its ctest timeout.
     for (int run = 0; run < 3; ++run) {
-      std::vector<std::string> got = compileStress(jobs, threads, &cache);
+      std::vector<std::string> got = compileStress(jobs, threads);
       ASSERT_EQ(got.size(), expected.size());
       for (size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], expected[i])
             << "threads=" << threads << " run=" << run << " " << jobs[i].name;
     }
-    // The duplicated modules and the repeated runs must have shared the
-    // cache: strictly fewer passes executed than (modules x passes) would
-    // take without it — replays must dominate executions across the
-    // three runs.
-    auto s = cache.stats();
-    EXPECT_GT(s.passesReplayed, s.passesExecuted);
   }
 }
 
@@ -99,11 +83,8 @@ TEST(SchedulerStressTest, FuturesResolveBeforeCompileAllReturns) {
   // job resolves while the batch is still in flight, so its latency
   // stamp is well short of the last one's.
   std::vector<StressJob> jobs = stressJobs();
-  transforms::PassResultCache cache;
   driver::SessionOptions so;
   so.threads = 8;
-  so.cache = &cache;
-  so.useEnvCache = false;
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> handles;
   for (const StressJob &j : jobs)

@@ -1,12 +1,12 @@
 // CompilerSession tests: N-module Rodinia batches under a threaded pool
-// and one shared cache are result-identical to serial one-shot compiles
+// are result-identical to serial one-shot compiles
 // (in every pipeline mode), job-level failure isolation (one bad module
 // doesn't poison the session), double-compileAll idempotence,
 // incremental job resolution, multi-function modules compiled whole on
 // one worker, the "inline-kernels" frontend view
 // matching compileForSimt, instrumented batches observing one module at
-// a time, per-module diagnostic attribution, and shared-cache replay
-// across sessions and between identical modules of one batch.
+// a time, per-module diagnostic attribution, and identical modules of one
+// batch compiling to identical IR.
 #include "driver/compiler.h"
 #include "frontend/irgen.h"
 #include "ir/parser.h"
@@ -14,7 +14,6 @@
 #include "rodinia/rodinia.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
-#include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -33,22 +32,17 @@ using transforms::PipelineOptions;
 
 namespace {
 
-driver::SessionOptions batchOptions(unsigned threads,
-                                    transforms::PassResultCache *cache) {
+driver::SessionOptions batchOptions(unsigned threads) {
   driver::SessionOptions so;
   so.threads = threads;
-  so.cache = cache;
-  so.useEnvCache = false; // results must not depend on the environment
   return so;
 }
 
-/// Serial one-shot reference compile (no cache, no pool sharing).
+/// Serial one-shot reference compile (no pool sharing).
 std::string serialReference(const std::string &source,
                             const PipelineOptions &opts) {
   DiagnosticEngine diag;
-  driver::SessionOptions so;
-  so.useEnvCache = false;
-  auto cc = driver::compile(source, opts, diag, std::move(so));
+  auto cc = driver::compile(source, opts, diag);
   EXPECT_TRUE(cc.ok) << diag.str();
   return ir::printOp(cc.module.op());
 }
@@ -101,9 +95,8 @@ TEST(SessionBatchTest, RodiniaBatchMatchesSerialAllModes) {
     for (const auto &b : rodinia::suite())
       expected.push_back(serialReference(b.cudaSource, mode.opts));
 
-    // The whole suite as one batch: threaded pool, one shared cache.
-    transforms::PassResultCache cache;
-    driver::CompilerSession session(batchOptions(/*threads=*/4, &cache));
+    // The whole suite as one batch on a threaded pool.
+    driver::CompilerSession session(batchOptions(/*threads=*/4));
     std::vector<driver::CompileJob *> jobs;
     for (const auto &b : rodinia::suite())
       jobs.push_back(&session.addSource(b.id, b.cudaSource, mode.opts));
@@ -128,7 +121,7 @@ TEST(SessionBatchTest, MixedPipelineGroupsInOneSession) {
   std::string mcudaRef =
       serialReference(b.cudaSource, PipelineOptions::mcuda());
 
-  driver::CompilerSession session(batchOptions(2, nullptr));
+  driver::CompilerSession session(batchOptions(2));
   auto &full = session.addSource("full", b.cudaSource, PipelineOptions{});
   auto &mcuda =
       session.addSource("mcuda", b.cudaSource, PipelineOptions::mcuda());
@@ -139,84 +132,15 @@ TEST(SessionBatchTest, MixedPipelineGroupsInOneSession) {
   EXPECT_EQ(ir::printOp(mcuda.result().module.op()), mcudaRef);
 }
 
-TEST(SessionBatchTest, SharedCacheReplaysAcrossSessions) {
-  transforms::PassResultCache cache;
-  std::vector<std::string> first;
-  {
-    driver::CompilerSession session(batchOptions(4, &cache));
-    for (const auto &b : rodinia::suite())
-      session.addSource(b.id, b.cudaSource, PipelineOptions{});
-    ASSERT_TRUE(session.compileAll());
-    for (size_t i = 0; i < session.jobCount(); ++i)
-      first.push_back(
-          ir::printOp(session.job(i).result().module.op()));
-  }
-  auto populated = cache.stats();
-  EXPECT_GT(populated.stores, 0u);
-
-  // Second session against the same cache: replays, executes nothing
-  // new, and reproduces the first session's output bit-for-bit.
-  driver::CompilerSession session(batchOptions(4, &cache));
-  for (const auto &b : rodinia::suite())
-    session.addSource(b.id, b.cudaSource, PipelineOptions{});
-  ASSERT_TRUE(session.compileAll());
-  auto warmed = cache.stats();
-  EXPECT_GT(warmed.passesReplayed, populated.passesReplayed);
-  EXPECT_EQ(warmed.passesExecuted, populated.passesExecuted);
-  for (size_t i = 0; i < session.jobCount(); ++i)
-    EXPECT_EQ(ir::printOp(session.job(i).result().module.op()), first[i]);
-}
-
-TEST(SessionBatchTest, ParallelKeyingMatchesSerialKeying) {
-  // Keys produced by the fanned-out ir::hashOp leaf tasks must be
-  // identical to serial keying: a cache populated by a 1-thread session
-  // must replay a 4-thread session without a single new miss or
-  // executed pass, and vice versa. A keying divergence in either
-  // direction would surface as misses.
-  for (bool threadedFirst : {false, true}) {
-    transforms::PassResultCache cache;
-    {
-      driver::CompilerSession session(
-          batchOptions(threadedFirst ? 4u : 1u, &cache));
-      for (const auto &b : rodinia::suite())
-        session.addSource(b.id, b.cudaSource, PipelineOptions{});
-      ASSERT_TRUE(session.compileAll());
-    }
-    auto populated = cache.stats();
-    driver::CompilerSession session(
-        batchOptions(threadedFirst ? 1u : 4u, &cache));
-    for (const auto &b : rodinia::suite())
-      session.addSource(b.id, b.cudaSource, PipelineOptions{});
-    ASSERT_TRUE(session.compileAll());
-    auto warmed = cache.stats();
-    EXPECT_EQ(warmed.misses, populated.misses)
-        << "threadedFirst=" << threadedFirst;
-    EXPECT_EQ(warmed.passesExecuted, populated.passesExecuted)
-        << "threadedFirst=" << threadedFirst;
-    EXPECT_GT(warmed.passesReplayed, populated.passesReplayed);
-  }
-}
-
 TEST(SessionBatchTest, IdenticalSourcesInOneBatch) {
   // Three copies of one source in one batch. On four workers the copies
-  // may run a pass at the same moment; each then runs it and stores the
-  // same result, so every output still equals a single compile. On one
-  // worker each copy finishes before the next starts, so the second and
-  // third copies replay every entry the first one stored.
+  // may run a pass at the same moment; on one worker each finishes
+  // before the next starts. Either way every output equals a single
+  // compile.
   const auto &b = rodinia::suite().front();
   const std::string expected = serialReference(b.cudaSource, {});
-  transforms::PassResultCache single;
-  {
-    driver::CompilerSession session(batchOptions(1, &single));
-    session.addSource(b.id, b.cudaSource, PipelineOptions{});
-    ASSERT_TRUE(session.compileAll());
-  }
-  const auto one = single.stats();
-  const uint64_t lookups = one.hits + one.misses;
-  ASSERT_GT(lookups, 0u);
   for (unsigned threads : {4u, 1u}) {
-    transforms::PassResultCache cache;
-    driver::CompilerSession session(batchOptions(threads, &cache));
+    driver::CompilerSession session(batchOptions(threads));
     std::vector<driver::CompileJob *> jobs;
     for (int copy = 0; copy < 3; ++copy)
       jobs.push_back(&session.addSource(b.id + "#" + std::to_string(copy),
@@ -226,11 +150,6 @@ TEST(SessionBatchTest, IdenticalSourcesInOneBatch) {
       ASSERT_TRUE(job->ok()) << job->diagnostics().str();
       EXPECT_EQ(ir::printOp(job->result().module.op()), expected)
           << "threads=" << threads;
-    }
-    if (threads == 1) {
-      auto s = cache.stats();
-      EXPECT_EQ(s.hits, one.hits + 2 * lookups);
-      EXPECT_EQ(s.misses, one.misses);
     }
   }
 }
@@ -257,9 +176,9 @@ std::string eightFunctionSource(int file) {
 
 TEST(SessionBatchTest, MultiFunctionModulesMatchSerial) {
   // 3 modules x 8 host functions, a shape where one module holds many
-  // functions. Each module compiles whole on one worker: the IR is byte-identical at 1 and 4 threads, every
-  // job is exactly one module dispatch, and a job cancelled while the
-  // batch runs fails alone.
+  // functions. Each module compiles whole on one worker: the IR is
+  // byte-identical at 1 and 4 threads, every job is exactly one module
+  // dispatch, and a job cancelled while the batch runs fails alone.
   const std::string pipeline = "inline-kernels,repeat{n=2}(canonicalize,"
                                "cse),unroll{max-trip=16},cpuify,omp-lower";
   auto &reg = metrics::MetricsRegistry::instance();
@@ -272,8 +191,7 @@ TEST(SessionBatchTest, MultiFunctionModulesMatchSerial) {
   };
   std::vector<std::string> serial;
   for (unsigned threads : {1u, 4u}) {
-    transforms::PassResultCache cache;
-    driver::SessionOptions so = batchOptions(threads, &cache);
+    driver::SessionOptions so = batchOptions(threads);
     so.pipelineSpec = pipeline;
     driver::CompilerSession session(std::move(so));
     std::vector<driver::CompileJob *> jobs = addSources(session);
@@ -294,10 +212,10 @@ TEST(SessionBatchTest, MultiFunctionModulesMatchSerial) {
   for (unsigned threads : {1u, 4u}) {
     // Every function-pass run sleeps 5 ms, so each module spends over
     // 100 ms in its passes; the middle job is cancelled once the first
-    // pass has started. No cache: every pass runs.
+    // pass has started.
     std::string err;
     ASSERT_TRUE(failpoint::configure("pass.run=delay(5)", &err)) << err;
-    driver::SessionOptions so = batchOptions(threads, nullptr);
+    driver::SessionOptions so = batchOptions(threads);
     so.pipelineSpec = pipeline;
     driver::CompilerSession session(std::move(so));
     std::vector<driver::CompileJob *> jobs = addSources(session);
@@ -328,13 +246,13 @@ TEST(SessionBatchTest, MultiFunctionModulesMatchSerial) {
 TEST(SessionIsolationTest, OneBadModuleDoesNotPoisonTheBatch) {
   std::string goodRef;
   {
-    driver::CompilerSession ref(batchOptions(1, nullptr));
+    driver::CompilerSession ref(batchOptions(1));
     auto &job = ref.addModule("ref", parseOk(kGoodModule));
     ASSERT_TRUE(ref.compileAll());
     goodRef = ir::printOp(job.result().module.op());
   }
 
-  driver::CompilerSession session(batchOptions(4, nullptr));
+  driver::CompilerSession session(batchOptions(4));
   auto &good1 = session.addModule("good1.ir", parseOk(kGoodModule));
   auto &bad = session.addModule("bad.ir", parseOk(kBadModule));
   auto &good2 = session.addModule("good2.ir", parseOk(kGoodModule));
@@ -353,7 +271,7 @@ TEST(SessionIsolationTest, OneBadModuleDoesNotPoisonTheBatch) {
 
 TEST(SessionIsolationTest, FrontendFailureIsolatesToo) {
   const auto &b = rodinia::suite().front();
-  driver::CompilerSession session(batchOptions(2, nullptr));
+  driver::CompilerSession session(batchOptions(2));
   auto &bad = session.addSource("broken.cu", "void f() { x = 1; }");
   auto &good = session.addSource("ok.cu", b.cudaSource);
   EXPECT_FALSE(session.compileAll());
@@ -368,7 +286,7 @@ TEST(SessionIsolationTest, FrontendFailureIsolatesToo) {
 
 TEST(SessionTest, DoubleCompileAllIsIdempotent) {
   const auto &b = rodinia::suite().front();
-  driver::CompilerSession session(batchOptions(2, nullptr));
+  driver::CompilerSession session(batchOptions(2));
   auto &j1 = session.addSource("a", b.cudaSource);
   auto &j2 = session.addSource("b", b.cudaSource);
   ASSERT_TRUE(session.compileAll());
@@ -386,7 +304,7 @@ TEST(SessionTest, DoubleCompileAllIsIdempotent) {
 
 TEST(SessionTest, JobsAddedAfterCompileAllJoinTheNextBatch) {
   const auto &b = rodinia::suite().front();
-  driver::CompilerSession session(batchOptions(1, nullptr));
+  driver::CompilerSession session(batchOptions(1));
   auto &j1 = session.addSource("first", b.cudaSource);
   ASSERT_TRUE(session.compileAll());
   EXPECT_TRUE(j1.ok());
@@ -400,8 +318,7 @@ TEST(SessionTest, JobsAddedAfterCompileAllJoinTheNextBatch) {
 }
 
 TEST(SessionTest, AsyncCompileAllAndFutures) {
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(2, &cache));
+  driver::CompilerSession session(batchOptions(2));
   std::vector<driver::CompileJob *> jobs;
   for (const auto &b : rodinia::suite())
     jobs.push_back(&session.addSource(b.id, b.cudaSource));
@@ -414,15 +331,15 @@ TEST(SessionTest, AsyncCompileAllAndFutures) {
   EXPECT_TRUE(session.ok());
 }
 
-TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
+TEST(SessionTest, FuturesResolveIncrementally) {
   // Completion-order probe: a job is marked done (its latency stamped)
   // the moment its own pipeline completes. With threads=1 the queue
-  // drains one module after another, so over the 16-module suite the first job resolves well
-  // before the last: its latency must be under half the batch's largest.
+  // drains one module after another, so over the 16-module suite the
+  // first job resolves well before the last: its latency must be under
+  // half the batch's largest.
   // A session that marked jobs done only at the end of the batch would
   // stamp them all within microseconds of each other.
-  transforms::PassResultCache cache;
-  driver::CompilerSession session(batchOptions(1, &cache));
+  driver::CompilerSession session(batchOptions(1));
   for (const auto &b : rodinia::suite())
     session.addSource(b.id, b.cudaSource);
   ASSERT_TRUE(session.compileAll());
@@ -435,7 +352,6 @@ TEST(SessionTest, FuturesResolveIncrementallyUnderDag) {
     minLatency = std::min(minLatency, latency);
     maxLatency = std::max(maxLatency, latency);
   }
-  EXPECT_GT(cache.stats().passesExecuted, 0u);
   EXPECT_LT(minLatency, maxLatency / 2);
 }
 
@@ -447,7 +363,7 @@ TEST(SessionTest, FrontendViewMatchesCompileForSimt) {
   // The SIMT oracle's frontend view is the one-pass "inline-kernels"
   // pipeline: a threaded batch on that spec and compileForSimt must both
   // equal the frontend followed by kernel-only inlining.
-  driver::SessionOptions so = batchOptions(2, nullptr);
+  driver::SessionOptions so = batchOptions(2);
   so.pipelineSpec = "inline-kernels";
   driver::CompilerSession session(std::move(so));
   std::vector<driver::CompileJob *> jobs;
@@ -506,7 +422,7 @@ TEST(SessionTest, InstrumentedBatchObservesOneModuleAtATime) {
                                  std::vector<ir::Op *> &modules) {
     std::FILE *out = std::fopen(path.c_str(), "wb");
     ASSERT_NE(out, nullptr) << path;
-    driver::SessionOptions so = batchOptions(threads, nullptr);
+    driver::SessionOptions so = batchOptions(threads);
     so.configurePassManager = [&](transforms::PassManager &pm) {
       pm.enableIRPrinting(/*before=*/false, /*after=*/true, "cpuify", out);
       auto probe = std::make_unique<StepProbe>();
@@ -557,7 +473,7 @@ TEST(SessionTest, InstrumentedBatchObservesOneModuleAtATime) {
 }
 
 TEST(SessionTest, DiagnosticsCarryModuleName) {
-  driver::CompilerSession session(batchOptions(2, nullptr));
+  driver::CompilerSession session(batchOptions(2));
   auto &bad1 = session.addSource("alpha.cu", "void f() { x = 1; }");
   auto &bad2 = session.addSource("beta.cu", "int f() { return y + 1; }");
   EXPECT_FALSE(session.compileAll());
@@ -581,7 +497,7 @@ TEST(SessionTest, LegacyWrapperStillUnprefixed) {
 }
 
 TEST(SessionTest, SessionTimingAggregatesAcrossBatch) {
-  driver::SessionOptions so = batchOptions(2, nullptr);
+  driver::SessionOptions so = batchOptions(2);
   so.collectTiming = true;
   driver::CompilerSession session(std::move(so));
   for (const auto &b : rodinia::suite())

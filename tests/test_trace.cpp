@@ -2,13 +2,12 @@
 // recorder's Chrome JSON output (parses, spans nest per thread, disabled
 // mode records nothing, multi-thread tid/ts consistency) and the
 // process-wide MetricsRegistry (counters/gauges/histograms, plus the
-// cache + scheduler + arena entries a Rodinia batch must populate).
+// scheduler + session + arena entries a Rodinia batch must populate).
 #include "support/metrics.h"
 #include "support/trace.h"
 
 #include "driver/session.h"
 #include "rodinia/rodinia.h"
-#include "transforms/pass_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -271,7 +270,7 @@ TEST_F(TraceTest, JsonParsesAndSpanFieldsSurvive) {
   {
     trace::TraceSpan outer("outer", "test");
     trace::TraceSpan inner("inner", "test");
-    inner.annotate("cache", "hit");
+    inner.annotate("step", "failed");
   }
   trace::counterEvent("test.counter", 42);
   trace::asyncBegin("test.job", 7);
@@ -294,8 +293,8 @@ TEST_F(TraceTest, JsonParsesAndSpanFieldsSurvive) {
     if (name->str == "inner" && ph->str == "X") {
       const JsonValue *args = e.find("args");
       ASSERT_NE(args, nullptr);
-      const JsonValue *v = args->find("cache");
-      sawInnerArg = v && v->str == "hit";
+      const JsonValue *v = args->find("step");
+      sawInnerArg = v && v->str == "failed";
     }
     if (name->str == "test.counter" && ph->str == "C") {
       const JsonValue *args = e.find("args");
@@ -359,8 +358,6 @@ TEST_F(TraceTest, EightThreadSessionBatchIsConsistent) {
   // records its own spans while the others do.
   driver::SessionOptions so;
   so.threads = 8;
-  so.memoryCache = true;
-  so.useEnvCache = false;
   driver::CompilerSession session(std::move(so));
   for (const auto &b : rodinia::suite())
     session.addSource(b.id, b.cudaSource, transforms::PipelineOptions{});
@@ -439,28 +436,19 @@ TEST(MetricsTest, CounterGaugeHistogramBasics) {
   EXPECT_NE(root.find("test.metric.hist.p95_s"), nullptr);
 }
 
-TEST(MetricsTest, RodiniaBatchPopulatesCacheSchedulerAndArenaMetrics) {
+TEST(MetricsTest, RodiniaBatchPopulatesSchedulerAndArenaMetrics) {
   auto &reg = metrics::MetricsRegistry::instance();
-  uint64_t hitsBefore = reg.counterValue("cache.hits");
   uint64_t tasksBefore = reg.counterValue("scheduler.tasks");
   uint64_t jobsBefore = reg.counterValue("session.jobs_completed");
   uint64_t latBefore = reg.histogram("session.job_latency_s").count();
 
-  transforms::PassResultCache cache;
-  for (int round = 0; round < 2; ++round) {
-    driver::SessionOptions so;
-    so.threads = 4;
-    so.cache = &cache;
-    so.useEnvCache = false;
-    driver::CompilerSession session(std::move(so));
-    for (const auto &b : rodinia::suite())
-      session.addSource(b.id, b.cudaSource, transforms::PipelineOptions{});
-    session.compileAll();
-  }
+  driver::SessionOptions so;
+  so.threads = 4;
+  driver::CompilerSession session(std::move(so));
+  for (const auto &b : rodinia::suite())
+    session.addSource(b.id, b.cudaSource, transforms::PipelineOptions{});
+  session.compileAll();
 
-  // Warm second round replays from the shared cache -> hits counted in
-  // the unified registry.
-  EXPECT_GT(reg.counterValue("cache.hits"), hitsBefore);
   EXPECT_GT(reg.counterValue("scheduler.tasks"), tasksBefore);
   EXPECT_GT(reg.counterValue("session.jobs_completed"), jobsBefore);
   EXPECT_GT(reg.histogram("session.job_latency_s").count(), latBefore);
